@@ -21,14 +21,18 @@ class ArchiveFormatError(ValueError):
 class Archive:
     N: int
     label: str
-    data: np.ndarray  # (samples, N), each row ascending
+    data: np.ndarray  # (samples, N), each row finite and strictly ascending
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[1] != self.N:
             raise ArchiveFormatError("data shape does not match N")
-        if data.shape[1] > 1 and np.any(np.diff(data, axis=1) < 0):
-            raise ArchiveFormatError("archive rows must be ascending")
+        if not np.all(np.isfinite(data)):
+            raise ArchiveFormatError("archive values must be finite")
+        if data.shape[1] > 1 and not np.all(np.diff(data, axis=1) > 0):
+            raise ArchiveFormatError("archive rows must be strictly ascending")
+        if "\n" in self.label or "\r" in self.label:
+            raise ArchiveFormatError("archive label must not contain a line break")
         object.__setattr__(self, "data", data)
 
     @property
@@ -57,7 +61,10 @@ def load_archive(path):
             magic = fh.read(5)
             if magic != MAGIC:
                 raise ArchiveFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-            n, samples = struct.unpack("<QQ", fh.read(16))
+            header = fh.read(16)
+            if len(header) != 16:
+                raise ArchiveFormatError("truncated binary header")
+            n, samples = struct.unpack("<QQ", header)
             payload = fh.read()
         data = np.frombuffer(payload, dtype="<f8")
         if data.size != n * samples:
@@ -65,8 +72,8 @@ def load_archive(path):
         return Archive(N=int(n), label=os.path.splitext(os.path.basename(path))[0], data=data.reshape(samples, n).copy())
 
     with open(path) as fh:
-        header = fh.readline().strip()
-        parts = header.split(",")
+        header = fh.readline().rstrip("\n")
+        parts = header.split(",", 2)
         if len(parts) != 3:
             raise ArchiveFormatError(f"malformed header line: {header!r}")
         try:

@@ -267,12 +267,11 @@ def cmd_oplocal(settings, started):
 def cmd_equilibrium(settings, started):
     weight = _weight_from_settings(settings)
     out = settings.get("out", "equilibrium.json")
-    pot = eqm.PotentialSpec.from_weight(weight)
-    support = eqm.solve_endpoints(pot)
+    support = eqm.solve_endpoints(weight)
     quad = op.build_quadrature(weight, weight.n + 1, margin=64)
     rec = op.stieltjes_recurrence(weight, quad, weight.n + 1)
     half = settings.get("J_half_width", 0.8, float)
-    report = eqm.levin_lubinsky_report(pot, support, rec, weight, (-half, half))
+    report = eqm.levin_lubinsky_report(support, rec, weight, (-half, half))
     _write_json(out, report)
     _write_manifest("equilibrium", settings.snapshot(), [out], started)
     print(json.dumps(report, indent=2))

@@ -293,17 +293,11 @@ def transition_kernel_logdensity(lam, nu, s):
         - 0.5 * N * math.log(one_mc2)
     )
 
-    def log_abs_vandermonde(v):
-        if N == 1:
-            return 0.0
-        iu = np.triu_indices(N, k=1)
-        return float(np.sum(np.log(np.abs(v[iu[0]] - v[iu[1]]))))
-
     # Delta(lam)/Delta(nu) and the determinant each flip sign under
     # reordering; the product is invariant, so work with absolute values of
     # the Vandermondes and track the determinant sign against the sign the
     # sorted configuration would produce.
-    log_ratio = log_abs_vandermonde(lam) - log_abs_vandermonde(nu)
+    log_ratio = log_vandermonde(lam) - log_vandermonde(nu)
 
     a = -N * (c * lam[:, None] - nu[None, :]) ** 2 / (2.0 * one_mc2)
     row = a.max(axis=1, keepdims=True)

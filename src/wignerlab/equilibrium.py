@@ -18,7 +18,7 @@ import numpy as np
 from .orthopoly import density as op_density
 
 __all__ = [
-    "PotentialSpec",
+    "AnalyticPotential",
     "SupportInterval",
     "solve_endpoints",
     "equilibrium_density",
@@ -27,39 +27,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PotentialSpec:
-    """External potential: point charges (double log charges at the rescaled
-    externals, scaled by 2/n) or an analytic V' on an interval."""
+class AnalyticPotential:
+    """External potential given by an analytic V' on an interval.
 
-    kind: str
-    roots: np.ndarray = None
-    n: int = None
-    vprime: object = None
+    Point-charge potentials need no class of their own: a
+    ``localwindow.WeightSpec`` is one, with V' = U'.
+    """
+
+    vprime: object
     domain: tuple = (-1.0, 1.0)
-    convexity_hint: bool = True
 
-    def __post_init__(self):
-        if self.kind == "pointcharge":
-            if self.roots is None or self.n is None:
-                raise ValueError("pointcharge potential needs roots and n")
-            roots = np.asarray(self.roots, dtype=float)
-            if roots.size and np.min(np.abs(roots)) < 1.0 - 1e-12:
-                raise ValueError("pointcharge roots must satisfy |y| >= 1")
-            object.__setattr__(self, "roots", roots)
-        elif self.kind == "analytic":
-            if self.vprime is None:
-                raise ValueError("analytic potential needs a vprime callable")
-        else:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-
-    @classmethod
-    def from_weight(cls, weight):
-        return cls(kind="pointcharge", roots=weight.roots, n=weight.n)
-
-    def vprime_at(self, s):
+    def potential_derivative(self, s):
+        """V'(s), elementwise."""
         s = np.asarray(s, dtype=float)
-        if self.kind == "pointcharge":
-            return -(2.0 / self.n) * np.sum(1.0 / (s[..., None] - self.roots), axis=-1)
         return np.asarray([self.vprime(v) for v in np.atleast_1d(s)], dtype=float).reshape(s.shape)
 
 
@@ -108,65 +88,67 @@ def _chebyshev_nodes(a, b, m):
 def _analytic_system(pot, a, b, m=400):
     """Endpoint equations by Chebyshev-Gauss quadrature (weight absorbed)."""
     s = _chebyshev_nodes(a, b, m)
-    v = pot.vprime_at(s)
+    v = pot.potential_derivative(s)
     f1 = float(np.mean(v))                      # (1/pi) int V'/sqrt(...) ds
     f2 = float(np.mean(v * s) / 2.0 - 1.0)      # (1/2pi) int V' s/sqrt(...) ds - 1
     return np.array([f1, f2])
 
 
+def _newton_problem(pot):
+    """(start point, residual/Jacobian callable, bracket clamp) for one potential.
+
+    Point charges use the exact algebraic equations with their analytic
+    Jacobian and start hugging the interval ends; analytic potentials use
+    quadrature residuals with a central-difference Jacobian and start 5%
+    inside the domain. ``clamp(an, bn, a, b)`` keeps a trial step ordered.
+    """
+    if isinstance(pot, AnalyticPotential):
+        lo, hi = pot.domain
+        span = hi - lo
+        h = 1e-7 * span
+
+        def system(a, b):
+            ja = (_analytic_system(pot, a + h, b) - _analytic_system(pot, a - h, b)) / (2 * h)
+            jb = (_analytic_system(pot, a, b + h) - _analytic_system(pot, a, b - h)) / (2 * h)
+            return _analytic_system(pot, a, b), np.column_stack([ja, jb])
+
+        def clamp(an, bn, a, b):
+            return an, max(bn, an + 1e-12)
+
+        return (lo + 0.05 * span, hi - 0.05 * span), system, clamp
+
+    n = pot.n
+
+    def system(a, b):
+        return _pointcharge_system(pot.roots, n, a, b)
+
+    def clamp(an, bn, a, b):
+        return min(max(an, -1.0 + 1e-14), b - 1e-13), max(min(bn, 1.0 - 1e-14), a + 1e-13)
+
+    return (-1.0 + 1.0 / (2.0 * n), 1.0 - 1.0 / (2.0 * n)), system, clamp
+
+
 def solve_endpoints(pot, tol=1e-12, max_iter=200):
     """Support endpoints (a, b) of the equilibrium measure by damped Newton.
 
-    Point-charge systems use the exact algebraic equations with an analytic
-    Jacobian; analytic potentials use quadrature residuals with a finite-
-    difference Jacobian. Initialization hugs the interval ends.
+    ``pot`` is a point-charge ``WeightSpec`` or an ``AnalyticPotential``;
+    each supplies its own start point, Jacobian and bracket clamp.
     """
-    if pot.kind == "pointcharge":
-        n = pot.n
-        a, b = -1.0 + 1.0 / (2.0 * n), 1.0 - 1.0 / (2.0 * n)
-        lo, hi = -1.0, 1.0
-        f, jac = _pointcharge_system(pot.roots, n, a, b)
-        for _ in range(max_iter):
-            step = np.linalg.solve(jac, f)
-            scale = 1.0
-            resid = float(np.max(np.abs(f)))
-            for _ in range(60):
-                an, bn = a - scale * step[0], b - scale * step[1]
-                an = min(max(an, lo + 1e-14), b - 1e-13)
-                bn = max(min(bn, hi - 1e-14), a + 1e-13)
-                fn, jn = _pointcharge_system(pot.roots, n, an, bn)
-                if fn is not None and float(np.max(np.abs(fn))) <= resid * (1.0 + 1e-12):
-                    break
-                scale *= 0.5
-            else:
-                raise RuntimeError("endpoint Newton iteration could not be damped into the bracket")
-            a, b, f, jac = an, bn, fn, jn
-            if float(np.max(np.abs(f))) < tol:
-                return SupportInterval(a=a, b=b, residuals=(float(f[0]), float(f[1])))
-        raise RuntimeError("endpoint Newton iteration did not converge")
-
-    lo, hi = pot.domain
-    span = hi - lo
-    a, b = lo + 0.05 * span, hi - 0.05 * span
-    f = _analytic_system(pot, a, b)
+    (a, b), system, clamp = _newton_problem(pot)
+    f, jac = system(a, b)
     for _ in range(max_iter):
-        h = 1e-7 * span
-        ja = (_analytic_system(pot, a + h, b) - _analytic_system(pot, a - h, b)) / (2 * h)
-        jb = (_analytic_system(pot, a, b + h) - _analytic_system(pot, a, b - h)) / (2 * h)
-        jac = np.column_stack([ja, jb])
         step = np.linalg.solve(jac, f)
         scale = 1.0
         resid = float(np.max(np.abs(f)))
         for _ in range(60):
-            an, bn = a - scale * step[0], b - scale * step[1]
-            bn = max(bn, an + 1e-12)
-            fn = _analytic_system(pot, an, bn)
-            if float(np.max(np.abs(fn))) <= resid * (1.0 + 1e-12):
+            an, bn = clamp(a - scale * step[0], b - scale * step[1], a, b)
+            fn, jn = system(an, bn)
+            if fn is not None and float(np.max(np.abs(fn))) <= resid * (1.0 + 1e-12):
                 break
             scale *= 0.5
         else:
-            raise RuntimeError("endpoint Newton iteration could not be damped")
-        a, b, f = an, bn, fn
+            raise RuntimeError("endpoint Newton iteration could not be damped into the bracket")
+        a, b, f, jac = an, bn, fn, jn
         if float(np.max(np.abs(f))) < tol:
             return SupportInterval(a=float(a), b=float(b), residuals=(float(f[0]), float(f[1])))
     raise RuntimeError("endpoint Newton iteration did not converge")
@@ -185,18 +167,19 @@ def equilibrium_density(pot, support, x, m=800):
     if not (a + 1e-8 < x < b - 1e-8):
         raise ValueError("x must lie strictly inside the support")
     s = _chebyshev_nodes(a, b, m)
-    if pot.kind == "pointcharge":
+    if isinstance(pot, AnalyticPotential):
+        vprime = pot.potential_derivative
+        vs = vprime(s)
+        vx = float(vprime(np.array([x]))[0])
+        ds = s - x
+        h = 1e-6 * (b - a)
+        vpp = (vprime(np.array([x + h]))[0] - vprime(np.array([x - h]))[0]) / (2 * h)
+        dd = np.where(np.abs(ds) > 1e-9 * (b - a), (vs - vx) / np.where(ds == 0, 1.0, ds), vpp)
+    else:
         # [V'(s) - V'(x)]/(s - x) = (2/n) sum_k 1/((x - y_k)(s - y_k))
         dd = (2.0 / pot.n) * np.sum(
             1.0 / ((x - pot.roots)[None, :] * (s[:, None] - pot.roots)), axis=1
         )
-    else:
-        vs = pot.vprime_at(s)
-        vx = float(pot.vprime_at(np.array([x]))[0])
-        ds = s - x
-        h = 1e-6 * (b - a)
-        vpp = (pot.vprime_at(np.array([x + h]))[0] - pot.vprime_at(np.array([x - h]))[0]) / (2 * h)
-        dd = np.where(np.abs(ds) > 1e-9 * (b - a), (vs - vx) / np.where(ds == 0, 1.0, ds), vpp)
     pv = math.pi * float(np.mean(dd))
     return math.sqrt(max((x - a) * (b - x), 0.0)) * pv / (2.0 * math.pi**2)
 
@@ -211,8 +194,9 @@ def equilibrium_mass(pot, support, m=400, outer=200):
     return float(np.sum(g * r * np.sin(theta)) * math.pi / outer)
 
 
-def levin_lubinsky_report(pot, support, rec, weight, J, grid_points=41):
-    """Desk-scale report of the four local-universality conditions on J.
+def levin_lubinsky_report(support, rec, weight, J, grid_points=41):
+    """Desk-scale report of the four local-universality conditions on J for
+    the point-charge potential of ``weight``.
 
     (a) min/max of the equilibrium density g on a J-covering grid;
     (b) modulus of continuity of Q' = V'/2 at grid resolution;
@@ -224,8 +208,8 @@ def levin_lubinsky_report(pot, support, rec, weight, J, grid_points=41):
     if not (a < j_lo < j_hi < b):
         raise ValueError("J must be interior to the support")
     grid = np.linspace(j_lo, j_hi, grid_points)
-    g = np.array([equilibrium_density(pot, support, x) for x in grid])
-    qprime = pot.vprime_at(grid) / 2.0
+    g = np.array([equilibrium_density(weight, support, x) for x in grid])
+    qprime = weight.potential_derivative(grid) / 2.0
     modulus = float(np.max(np.abs(np.diff(qprime)))) if len(grid) > 1 else 0.0
     n = weight.n
     rho = op_density(rec, weight, n, grid)

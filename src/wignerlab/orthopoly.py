@@ -23,8 +23,6 @@ __all__ = [
     "stieltjes_recurrence",
     "recurrence_node_doubling_gap",
     "eval_psi",
-    "KernelEval",
-    "cd_kernel",
     "kernel_matrix",
     "density",
     "correlation",
@@ -155,32 +153,6 @@ def eval_psi(rec, weight, j, x):
     return vals if np.ndim(x) else float(vals[0])
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    n: int
-    x: float
-    y: float
-    value: float
-
-
-def cd_kernel(rec, weight, n, x, y):
-    """Order-n reproducing kernel via the Christoffel-Darboux form.
-
-    Near the diagonal (|x - y| < 1e-6) the direct sum of psi_j(x) psi_j(y)
-    replaces the cancellation-prone quotient.
-    """
-    if n > rec.max_degree:
-        raise ValueError("kernel order exceeds the built recurrence")
-    if abs(x - y) < NEAR_DIAGONAL:
-        table = _psi_table(rec, weight, n - 1, np.array([x, y]))
-        value = float(np.sum(table[:, 0] * table[:, 1]))
-    else:
-        t = _psi_table(rec, weight, n, np.array([x, y]))
-        j = rec.beta[n - 1]
-        value = j * (t[n, 0] * t[n - 1, 1] - t[n, 1] * t[n - 1, 0]) / (x - y)
-    return KernelEval(n=n, x=float(x), y=float(y), value=value)
-
-
 def kernel_matrix(rec, weight, n, xs, ys=None):
     """K_n on a grid; CD form off the diagonal band, direct sum on it."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -238,7 +210,8 @@ def density_derivative(rec, weight, n, x, quad=None):
     if quad is None:
         quad = build_quadrature(weight, n, margin=64)
     z = quad.nodes
-    krow = kernel_matrix(rec, weight, n, np.array([x]), z)[0]
+    row = kernel_matrix(rec, weight, n, np.array([x]), np.append(z, [1.0, -1.0]))[0]
+    krow, k_hi, k_lo = row[:-2], row[-2], row[-1]
     if weight.roots.size:
         # U'(z) - U'(x) = -(2/n) sum_k (x - z)/((x - y_k)(z - y_k))
         dv = -(2.0 / weight.n) * np.sum(
@@ -248,17 +221,7 @@ def density_derivative(rec, weight, n, x, quad=None):
     else:
         dv = np.zeros_like(z)
     integral = float(np.sum(quad.weights * dv * krow**2))
-    k_hi = cd_kernel(rec, weight, n, x, 1.0).value
-    k_lo = cd_kernel(rec, weight, n, x, -1.0).value
-    return integral + (k_hi**2 - k_lo**2) / n
-
-
-def stieltjes_transform_of_density(rec, weight, n, z, quad=None):
-    """m_n(z) = int rho_n(x) / (x - z) dx for Im z > 0."""
-    if quad is None:
-        quad = build_quadrature(weight, n, margin=64)
-    rho = density(rec, weight, n, quad.nodes)
-    return complex(np.sum(quad.weights * rho / (quad.nodes - z)))
+    return integral + float(k_hi**2 - k_lo**2) / n
 
 
 def stieltjes_identity_residual(rec, weight, n, z, quad=None):
@@ -271,34 +234,9 @@ def stieltjes_identity_residual(rec, weight, n, z, quad=None):
     xs = quad.nodes
     rho = density(rec, weight, n, xs)
     m = np.sum(quad.weights * rho / (xs - z))
-    vprime = weight.potential_derivative(xs) if weight.roots.size else np.zeros_like(xs)
+    vprime = weight.potential_derivative(xs)
     t = np.sum(quad.weights * vprime * rho / (xs - z))
     return float(abs(m * m + t))
-
-
-def _psi_with_derivative(rec, weight, degree, x):
-    """(psi_degree, psi_degree') at points x.
-
-    Recurses jointly on phi_j = p_j sqrt(w) and phidot_j = p_j' sqrt(w);
-    then psi' = phidot - (n/2) U' phi.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sqw = np.exp(0.5 * (np.asarray(weight.log_weight(x)) - weight.log_shift))
-    phi_prev = np.zeros_like(x)
-    phi = sqw / rec.mass
-    dot_prev = np.zeros_like(x)
-    dot = np.zeros_like(x)
-    for j in range(degree):
-        b = rec.beta[j]
-        a = rec.alpha[j]
-        b_prev = rec.beta[j - 1] if j > 0 else 0.0
-        phi_next = ((x - a) * phi - b_prev * phi_prev) / b
-        dot_next = (phi + (x - a) * dot - b_prev * dot_prev) / b
-        phi_prev, phi = phi, phi_next
-        dot_prev, dot = dot, dot_next
-    uprime = np.asarray(weight.potential_derivative(x)) if weight.roots.size else np.zeros_like(x)
-    psi_prime = dot - 0.5 * weight.n * uprime * phi
-    return phi, psi_prime
 
 
 def derivative_norm_checks(rec, weight, n, quad=None):
@@ -312,7 +250,15 @@ def derivative_norm_checks(rec, weight, n, quad=None):
     if quad is None:
         quad = build_quadrature(weight, n, margin=64)
     xs = quad.nodes
-    psi, psi_prime = _psi_with_derivative(rec, weight, n - 1, xs)
+    # psi_j from the table; the derivatives p_j' sqrt(w) follow their own
+    # recurrence, then psi' = p_(n-1)' sqrt(w) - (n/2) U' psi
+    table = _psi_table(rec, weight, n - 1, xs)
+    dot_prev = dot = np.zeros_like(xs)
+    for j in range(n - 1):
+        b_prev = rec.beta[j - 1] if j > 0 else 0.0
+        dot_prev, dot = dot, (table[j] + (xs - rec.alpha[j]) * dot - b_prev * dot_prev) / rec.beta[j]
+    psi = table[n - 1]
+    psi_prime = dot - 0.5 * weight.n * weight.potential_derivative(xs) * psi
     if weight.roots.size:
         inv = np.sum(1.0 / np.abs(xs[:, None] - weight.roots), axis=1) / weight.n
     else:

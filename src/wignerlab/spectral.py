@@ -274,6 +274,17 @@ def good_config_check(spectrum, params=GoodConfigParams()):
     )
 
 
+def _bulk_indices(N, kappa):
+    """1-based bulk index range [ceil(N kappa^1.5), floor(N (1 - kappa^1.5))]."""
+    if not (0 < kappa < 1):
+        raise ValueError("kappa must lie in (0, 1)")
+    lo = int(math.ceil(N * kappa**1.5))
+    hi = int(math.floor(N * (1 - kappa**1.5)))
+    if lo < 1 or hi < lo:
+        raise ValueError("kappa leaves no bulk indices")
+    return lo, hi
+
+
 def rigidity_check(spectrum, kappa, params=GoodConfigParams()):
     """Location and pair rigidity of bulk eigenvalues.
 
@@ -283,13 +294,8 @@ def rigidity_check(spectrum, kappa, params=GoodConfigParams()):
     n^gamma |b-a|^(3/4) + |b-a|^2 / N.
     """
     spectrum = require_spectrum(spectrum)
-    if not (0 < kappa < 1):
-        raise ValueError("kappa must lie in (0, 1)")
     N = len(spectrum)
-    a_lo = int(math.ceil(N * kappa**1.5))
-    a_hi = int(math.floor(N * (1 - kappa**1.5)))
-    if a_lo < 1 or a_hi < a_lo:
-        raise ValueError("kappa leaves no bulk indices")
+    a_lo, a_hi = _bulk_indices(N, kappa)
     idx = np.arange(a_lo, a_hi + 1)  # 1-based indices
     quant = semicircle_cdf_inverse(idx / N)
     lam = spectrum[idx - 1]
@@ -321,11 +327,8 @@ def repulsion_sums(spectrum, kappa):
     second the corresponding first-power absolute sum.
     """
     spectrum = require_spectrum(spectrum)
-    if not (0 < kappa < 1):
-        raise ValueError("kappa must lie in (0, 1)")
     N = len(spectrum)
-    l_lo = int(math.ceil(N * kappa**1.5))
-    l_hi = int(math.floor(N * (1 - kappa**1.5)))
+    l_lo, l_hi = _bulk_indices(N, kappa)
     sq = 0.0
     ab = 0.0
     for ell in range(l_lo, l_hi + 1):

@@ -52,6 +52,11 @@ def gap_complement(u):
     return out if out.ndim else float(out)
 
 
+def _as_data(archive):
+    """(samples, N) float array of an ``Archive`` or of a raw array."""
+    return np.asarray(archive.data if hasattr(archive, "data") else archive, dtype=float)
+
+
 @dataclass(frozen=True)
 class Observable:
     """Test observable g(a - b) h((a + b)/2): g even with compact support,
@@ -113,7 +118,7 @@ def two_point_estimator(archive, E0, delta, obs, energy_nodes=33):
     energy average done by deterministic Gauss quadrature. The reference
     field carries the sine-kernel prediction int g (1 - sinc^2).
     """
-    data = np.asarray(archive.data if hasattr(archive, "data") else archive, dtype=float)
+    data = _as_data(archive)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("archive must hold at least two samples")
     samples, N = data.shape
@@ -203,7 +208,7 @@ def level_repulsion_curve(archive, E, eps_grid, min_hits=20):
     Weights come from Wilson intervals on each probability; bins with fewer
     than ``min_hits`` hits are excluded from the fit (reported, not thrown).
     """
-    data = np.asarray(archive.data if hasattr(archive, "data") else archive, dtype=float)
+    data = _as_data(archive)
     samples = data.shape[0]
     eps_grid = np.asarray(eps_grid, dtype=float)
     hits = np.empty(len(eps_grid), dtype=int)
@@ -234,7 +239,7 @@ def level_repulsion_curve(archive, E, eps_grid, min_hits=20):
 
 def wegner_statistic(archive, E, eps):
     """Mean eigenvalue count in [E - eps/(2N), E + eps/(2N)]."""
-    data = np.asarray(archive.data if hasattr(archive, "data") else archive, dtype=float)
+    data = _as_data(archive)
     return float(np.mean(_interval_counts(data, E, eps)))
 
 
@@ -244,7 +249,7 @@ def gap_tail(archive, E, K_grid):
     Samples with no eigenvalue on either side of E are skipped, matching
     the statistic's conditioning.
     """
-    data = np.asarray(archive.data if hasattr(archive, "data") else archive, dtype=float)
+    data = _as_data(archive)
     samples, N = data.shape
     K_grid = np.asarray(K_grid, dtype=float)
     idx = np.sum(data < E, axis=1)

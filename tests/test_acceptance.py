@@ -141,12 +141,12 @@ def test_criterion_08_equilibrium_endpoints():
     gaps = []
     for n in (32, 64, 128, 256):
         weight = lw.equispaced_weight(n, B=2.0, root_cap=None)
-        support = eq.solve_endpoints(eq.PotentialSpec.from_weight(weight))
+        support = eq.solve_endpoints(weight)
         assert max(abs(r) for r in support.residuals) <= 1e-9
         gaps.append(max(abs(support.a + 1.0), abs(support.b - 1.0)))
     trend_ok = all(a > b for a, b in zip(gaps, gaps[1:]))
 
-    pot = eq.PotentialSpec(kind="analytic", vprime=lambda s: s, domain=(-4.0, 4.0))
+    pot = eq.AnalyticPotential(vprime=lambda s: s, domain=(-4.0, 4.0))
     support = eq.solve_endpoints(pot)
     grid = np.linspace(-1.98, 1.98, 101)
     g_err = max(

@@ -13,7 +13,7 @@ from wignerlab.cli import main
 def sorted_rows(samples, n):
     return (
         st.lists(
-            st.lists(st.floats(-1e3, 1e3, allow_nan=False, width=64), min_size=n, max_size=n),
+            st.lists(st.floats(-1e3, 1e3, allow_nan=False, width=64), min_size=n, max_size=n, unique=True),
             min_size=samples,
             max_size=samples,
         )
@@ -23,14 +23,25 @@ def sorted_rows(samples, n):
 
 class TestArchiveIO:
     @settings(max_examples=25, deadline=None)
-    @given(data=sorted_rows(3, 5))
-    def test_csv_roundtrip(self, tmp_path_factory, data):
+    @given(data=sorted_rows(3, 5), label=st.text(st.characters(min_codepoint=32, max_codepoint=126)))
+    def test_csv_roundtrip(self, tmp_path_factory, data, label):
         path = tmp_path_factory.mktemp("arc") / "a.csv"
-        arc = Archive(N=5, label="test", data=data)
+        arc = Archive(N=5, label=label, data=data)
         save_archive(arc, str(path))
         back = load_archive(str(path))
-        assert back.N == 5 and back.label == "test"
+        assert back.N == 5 and back.label == label
         assert np.array_equal(back.data, arc.data)
+
+    def test_sample_label_with_comma_roundtrips(self, tmp_path):
+        out = tmp_path / "a.csv"
+        assert main(["sample", "--N", "5", "--samples", "2", "--seed", "1", "--label", "a,b",
+                     "-o", str(out)]) == 0
+        assert load_archive(str(out)).label == "a,b"
+
+    def test_label_with_line_break_rejected(self):
+        for label in ("a\nb", "a\rb"):
+            with pytest.raises(ArchiveFormatError, match="label"):
+                Archive(N=2, label=label, data=np.array([[0.0, 1.0]]))
 
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -62,6 +73,12 @@ class TestArchiveIO:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"WRONG" + b"\x00" * 16)
         with pytest.raises(ArchiveFormatError, match="magic"):
+            load_archive(str(path))
+
+    def test_truncated_binary_header(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"WLAB1\x01\x00")
+        with pytest.raises(ArchiveFormatError, match="truncated"):
             load_archive(str(path))
 
     def test_shape_validation(self):
@@ -99,6 +116,19 @@ class TestCli:
         code = main(["sample", "--N", "100", "--samples", "1", "--kind", "wigner",
                      "--beta", "1.0", "-o", str(out)])
         assert code == 1
+
+    @pytest.mark.parametrize("name, content", [
+        ("nan.csv", b"3,2,gue\n-1,nan,1\n-1,0,1\n"),
+        ("tie.csv", b"3,2,gue\n-1,0,0\n-1,0,1\n"),
+        ("inf.csv", b"3,2,gue\n-inf,0,1\n-1,0,1\n"),
+        ("short.bin", b"WLAB1\x01\x00"),
+    ])
+    def test_malformed_archive_is_validation_error(self, tmp_path, capsys, name, content):
+        arc = tmp_path / name
+        arc.write_bytes(content)
+        assert main(["sine", "--archive", str(arc), "-o", str(tmp_path / "sine.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_numerical_failure_exit_code(self, monkeypatch):
         from wignerlab import cli

@@ -9,18 +9,17 @@ from wignerlab.spectral import semicircle_density
 
 @pytest.fixture(scope="module")
 def quadratic_potential():
-    pot = eq.PotentialSpec(kind="analytic", vprime=lambda s: s, domain=(-4.0, 4.0))
+    pot = eq.AnalyticPotential(vprime=lambda s: s, domain=(-4.0, 4.0))
     return pot, eq.solve_endpoints(pot)
 
 
 @pytest.fixture(scope="module")
 def equispaced64():
     weight = lw.equispaced_weight(64, B=2.0)
-    pot = eq.PotentialSpec.from_weight(weight)
-    support = eq.solve_endpoints(pot)
+    support = eq.solve_endpoints(weight)
     quad = op.build_quadrature(weight, 65, margin=64)
     rec = op.stieltjes_recurrence(weight, quad, 65)
-    return weight, pot, support, rec
+    return weight, support, rec
 
 
 class TestEndpoints:
@@ -32,25 +31,21 @@ class TestEndpoints:
 
     def test_symmetric_pointcharge_support(self):
         weight = lw.equispaced_weight(32, B=2.0)
-        support = eq.solve_endpoints(eq.PotentialSpec.from_weight(weight))
+        support = eq.solve_endpoints(weight)
         assert support.a == pytest.approx(-support.b, abs=1e-10)
 
     def test_endpoint_gap_shrinks_with_n(self):
         gaps = []
         for n in (32, 64, 128, 256):
             weight = lw.equispaced_weight(n, B=2.0, root_cap=None)
-            support = eq.solve_endpoints(eq.PotentialSpec.from_weight(weight))
+            support = eq.solve_endpoints(weight)
             assert max(abs(r) for r in support.residuals) <= 1e-9
             gaps.append(max(abs(support.a + 1.0), abs(support.b - 1.0)))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
-    def test_invalid_potential_kind(self):
-        with pytest.raises(ValueError):
-            eq.PotentialSpec(kind="mystery")
-
     def test_pointcharge_requires_exterior_roots(self):
         with pytest.raises(ValueError):
-            eq.PotentialSpec(kind="pointcharge", roots=np.array([0.5]), n=4)
+            lw.WeightSpec(n=4, roots=np.array([0.5]))
 
 
 class TestDensity:
@@ -66,13 +61,13 @@ class TestDensity:
         assert eq.equilibrium_mass(pot, support) == pytest.approx(1.0, abs=1e-6)
 
     def test_pointcharge_mass_is_one(self, equispaced64):
-        _, pot, support, _ = equispaced64
-        assert eq.equilibrium_mass(pot, support) == pytest.approx(1.0, abs=1e-6)
+        weight, support, _ = equispaced64
+        assert eq.equilibrium_mass(weight, support) == pytest.approx(1.0, abs=1e-6)
 
     def test_pointcharge_density_flat_and_positive(self, equispaced64):
-        _, pot, support, _ = equispaced64
+        weight, support, _ = equispaced64
         xs = np.linspace(-0.9, 0.9, 37)
-        g = np.array([eq.equilibrium_density(pot, support, x) for x in xs])
+        g = np.array([eq.equilibrium_density(weight, support, x) for x in xs])
         assert np.all(g > 0)
         assert np.max(g) / np.min(g) <= 1.5
 
@@ -85,16 +80,15 @@ class TestDensity:
 class TestLevinLubinskyReport:
     def test_flat_potential_has_zero_modulus(self):
         weight = lw.WeightSpec(n=8, roots=np.array([]))
-        pot = eq.PotentialSpec(kind="pointcharge", roots=np.array([]), n=8)
         quad = op.build_quadrature(weight, 9)
         rec = op.stieltjes_recurrence(weight, quad, 9)
         support = eq.SupportInterval(a=-0.999, b=0.999, residuals=(0.0, 0.0))
-        report = eq.levin_lubinsky_report(pot, support, rec, weight, (-0.8, 0.8))
+        report = eq.levin_lubinsky_report(support, rec, weight, (-0.8, 0.8))
         assert report["ll_conditions"]["b"] == 0.0
 
     def test_equispaced_profile_conditions(self, equispaced64):
-        weight, pot, support, rec = equispaced64
-        report = eq.levin_lubinsky_report(pot, support, rec, weight, (-0.8, 0.8))
+        weight, support, rec = equispaced64
+        report = eq.levin_lubinsky_report(support, rec, weight, (-0.8, 0.8))
         cond = report["ll_conditions"]
         assert cond["d"] <= 0.1
         assert 0.3 <= cond["c"]["min"] <= cond["c"]["max"] <= 1.2
@@ -102,6 +96,6 @@ class TestLevinLubinskyReport:
         assert report["a"] < -0.9 and report["b"] > 0.9
 
     def test_interior_interval_required(self, equispaced64):
-        weight, pot, support, rec = equispaced64
+        weight, support, rec = equispaced64
         with pytest.raises(ValueError):
-            eq.levin_lubinsky_report(pot, support, rec, weight, (-1.5, 0.5))
+            eq.levin_lubinsky_report(support, rec, weight, (-1.5, 0.5))

@@ -159,26 +159,23 @@ class TestKernel:
         rng = np.random.default_rng(0)
         for _ in range(25):
             x, y = rng.uniform(-0.99, 0.99, 2)
-            kxx = op.cd_kernel(rec, weight, 16, x, x).value
-            kyy = op.cd_kernel(rec, weight, 16, y, y).value
-            kxy = op.cd_kernel(rec, weight, 16, x, y).value
+            (kxx, kxy), (_, kyy) = op.kernel_matrix(rec, weight, 16, np.array([x, y]))
             assert kxy**2 <= kxx * kyy * (1 + 1e-10)
 
     def test_crossover_band_agreement(self, pointcharge16):
         weight, _, rec = pointcharge16
         x0 = 0.31
         for d in (2e-6, 5e-6, 2e-5):
-            cd = op.cd_kernel(rec, weight, 16, x0, x0 + d).value
+            cd = op.kernel_matrix(rec, weight, 16, np.array([x0]), np.array([x0 + d]))[0, 0]
             t = op._psi_table(rec, weight, 15, np.array([x0, x0 + d]))
             direct = float(np.sum(t[:, 0] * t[:, 1]))
             assert cd == pytest.approx(direct, rel=1e-6)
 
     def test_symmetry_and_positivity(self, pointcharge16):
         weight, _, rec = pointcharge16
-        a = op.cd_kernel(rec, weight, 16, 0.2, -0.4)
-        b = op.cd_kernel(rec, weight, 16, -0.4, 0.2)
-        assert a.value == pytest.approx(b.value, rel=1e-12)
-        assert op.cd_kernel(rec, weight, 16, 0.2, 0.2).value >= 0
+        k = op.kernel_matrix(rec, weight, 16, np.array([0.2, -0.4]))
+        assert k[0, 1] == pytest.approx(k[1, 0], rel=1e-12)
+        assert k[0, 0] >= 0
 
 
 class TestDensityAndCorrelation:
