@@ -27,6 +27,8 @@ class Archive:
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[1] != self.N:
             raise ArchiveFormatError("data shape does not match N")
+        if self.N < 1 or data.shape[0] < 1:
+            raise ArchiveFormatError("archive must hold at least one spectrum with N >= 1")
         if not np.all(np.isfinite(data)):
             raise ArchiveFormatError("archive values must be finite")
         if data.shape[1] > 1 and not np.all(np.diff(data, axis=1) > 0):
@@ -48,7 +50,7 @@ def save_archive(archive, path):
             fh.write(struct.pack("<QQ", archive.N, archive.samples))
             fh.write(archive.data.astype("<f8").tobytes())
         return
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{archive.N},{archive.samples},{archive.label}\n")
         for row in archive.data:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
@@ -66,30 +68,39 @@ def load_archive(path):
                 raise ArchiveFormatError("truncated binary header")
             n, samples = struct.unpack("<QQ", header)
             payload = fh.read()
-        data = np.frombuffer(payload, dtype="<f8")
-        if data.size != n * samples:
+        if len(payload) != 8 * n * samples:
             raise ArchiveFormatError("binary payload size does not match header")
-        return Archive(N=int(n), label=os.path.splitext(os.path.basename(path))[0], data=data.reshape(samples, n).copy())
-
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split(",", 2)
-        if len(parts) != 3:
-            raise ArchiveFormatError(f"malformed header line: {header!r}")
         try:
-            n, samples = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ArchiveFormatError(f"malformed header line: {header!r}") from exc
-        label = parts[2]
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            row = np.array(line.split(","), dtype=float)
-            if len(row) != n:
-                raise ArchiveFormatError(f"line {lineno}: expected {n} values, got {len(row)}")
-            rows.append(row)
+            data = np.frombuffer(payload, dtype="<f8").reshape(samples, n)
+        except ValueError as exc:  # dimensions beyond what numpy can index
+            raise ArchiveFormatError(f"binary header dimensions {n} x {samples} out of range") from exc
+        return Archive(N=int(n), label=os.path.splitext(os.path.basename(path))[0], data=data.copy())
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            parts = header.split(",", 2)
+            if len(parts) != 3:
+                raise ArchiveFormatError(f"malformed header line: {header!r}")
+            try:
+                n, samples = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ArchiveFormatError(f"malformed header line: {header!r}") from exc
+            label = parts[2]
+            rows = []
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = np.array(line.split(","), dtype=float)
+                except ValueError as exc:
+                    raise ArchiveFormatError(f"line {lineno}: non-numeric value") from exc
+                if len(row) != n:
+                    raise ArchiveFormatError(f"line {lineno}: expected {n} values, got {len(row)}")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ArchiveFormatError(f"archive is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     if len(rows) != samples:
         raise ArchiveFormatError(f"header promised {samples} samples, file has {len(rows)}")
     return Archive(N=n, label=label, data=np.array(rows))

@@ -25,7 +25,7 @@ from . import localwindow as lw
 from . import orthopoly as op
 from . import spectral as sp
 from . import universality as un
-from .archive import ArchiveFormatError, load_archive, save_archive
+from .archive import load_archive, save_archive
 from .generate import generate_archive
 
 
@@ -49,6 +49,9 @@ class Settings:
     def __init__(self, args):
         self.flags = vars(args)
         self.file = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(self.file) - (set(self.flags) - {"command", "config"}))
+        if unknown:
+            raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
 
     def get(self, key, default=None, cast=None):
         val = self.flags.get(key)
@@ -90,16 +93,24 @@ def _write_manifest(command, resolved, outputs, started):
         "seed_scheme": "per-sample Philox streams keyed by SeedSequence(seed, spawn_key=(index,))",
         "outputs": {str(p): _digest(p) for p in outputs},
     }
-    base = str(outputs[0]) if outputs else f"{command}"
-    path = base + ".manifest.json"
+    path = f"{outputs[0]}.manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
     return path
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
+def _emit(command, settings, started, payload, outputs, echo=None):
+    """Write the JSON payload to outputs[0] and the manifest over all
+    outputs, then print echo (by default the payload itself)."""
+    with open(outputs[0], "w") as fh:
         json.dump(payload, fh, indent=2)
+    _write_manifest(command, settings.snapshot(), outputs, started)
+    print(json.dumps(payload, indent=2) if echo is None else echo)
+
+
+def _float_list(settings, key, default):
+    """A comma-separated list option as floats."""
+    return [float(v) for v in settings.get(key, default).split(",")]
 
 
 def _stat_record(statistic, N, samples, value, threshold, passed):
@@ -131,7 +142,6 @@ def cmd_sample(settings, started):
         beta_exponent=settings.get("beta", 0.5, float),
         entry_law=settings.get("entry_law", "gaussian"),
         evolve_time=settings.get("evolve_t", 0.0, float),
-        threads=settings.get("threads", None, int),
         label=settings.get("label"),
     )
     save_archive(arc, out)
@@ -161,9 +171,7 @@ def cmd_semicircle(settings, started):
         _stat_record("local_density_sup_dev_pass_fraction", arc.N, arc.samples, frac_dens, 0.9, frac_dens >= 0.9),
         _stat_record("counting_function_sup_dev_pass_fraction", arc.N, arc.samples, frac_count, 0.9, frac_count >= 0.9),
     ]
-    _write_json(out, records)
-    _write_manifest("semicircle", settings.snapshot(), [out], started)
-    print(json.dumps(records, indent=2))
+    _emit("semicircle", settings, started, records, [out])
 
 
 def cmd_rigidity(settings, started):
@@ -179,9 +187,7 @@ def cmd_rigidity(settings, started):
         _stat_record("rigidity_location_pass_fraction", arc.N, arc.samples, frac, 0.9, frac >= 0.9),
         _stat_record("rigidity_pair_dev_median", arc.N, arc.samples, float(np.median(pair)), None, True),
     ]
-    _write_json(out, records)
-    _write_manifest("rigidity", settings.snapshot(), [out], started)
-    print(json.dumps(records, indent=2))
+    _emit("rigidity", settings, started, records, [out])
 
 
 def _window_from_settings(settings, arc):
@@ -206,9 +212,7 @@ def cmd_window(settings, started):
         "internal": [float(v) for v in res.internal_rescaled],
         "external_rescaled": [float(v) for v in res.external_rescaled],
     }
-    _write_json(out, payload)
-    _write_manifest("window", settings.snapshot(), [out], started)
-    print(f"wrote window dump to {out}")
+    _emit("window", settings, started, payload, [out], echo=f"wrote window dump to {out}")
 
 
 def _weight_from_settings(settings):
@@ -225,14 +229,19 @@ def _weight_from_settings(settings):
     return lw.equispaced_weight(n, B=B, root_cap=cap)
 
 
+def _quadrature_and_recurrence(weight):
+    """The weight's Gauss rule and its recurrence through degree n + 1."""
+    quad = op.build_quadrature(weight, weight.n + 1, margin=64)
+    return quad, op.stieltjes_recurrence(weight, quad, weight.n + 1)
+
+
 def cmd_oplocal(settings, started):
     weight = _weight_from_settings(settings)
     n = weight.n
     out = settings.get("out", "oplocal.json")
     rec_csv = settings.get("recurrence_csv", "recurrence.csv")
     scan_csv = settings.get("kernel_csv", "kernel_scan.csv")
-    quad = op.build_quadrature(weight, n + 1, margin=64)
-    rec = op.stieltjes_recurrence(weight, quad, n + 1)
+    quad, rec = _quadrature_and_recurrence(weight)
     with open(rec_csv, "w") as fh:
         fh.write("j,alpha_j,beta_j\n")
         for j in range(rec.max_degree):
@@ -259,22 +268,17 @@ def cmd_oplocal(settings, started):
         "gram_residual": float(np.max(np.abs(gram - np.eye(n)))),
         "kernel_trace": float(np.sum(quad.weights * np.sum(table * table, axis=0))),
     }
-    _write_json(out, payload)
-    _write_manifest("oplocal", settings.snapshot(), [out, rec_csv, scan_csv], started)
-    print(json.dumps(payload, indent=2))
+    _emit("oplocal", settings, started, payload, [out, rec_csv, scan_csv])
 
 
 def cmd_equilibrium(settings, started):
     weight = _weight_from_settings(settings)
     out = settings.get("out", "equilibrium.json")
     support = eqm.solve_endpoints(weight)
-    quad = op.build_quadrature(weight, weight.n + 1, margin=64)
-    rec = op.stieltjes_recurrence(weight, quad, weight.n + 1)
+    _, rec = _quadrature_and_recurrence(weight)
     half = settings.get("J_half_width", 0.8, float)
     report = eqm.levin_lubinsky_report(support, rec, weight, (-half, half))
-    _write_json(out, report)
-    _write_manifest("equilibrium", settings.snapshot(), [out], started)
-    print(json.dumps(report, indent=2))
+    _emit("equilibrium", settings, started, report, [out])
 
 
 def cmd_sine(settings, started):
@@ -296,17 +300,13 @@ def cmd_sine(settings, started):
         "tolerance": tol,
         "pass": bool(abs(est.value - est.reference) <= tol),
     }
-    _write_json(out, payload)
-    _write_manifest("sine", settings.snapshot(), [out], started)
-    print(json.dumps(payload, indent=2))
+    _emit("sine", settings, started, payload, [out])
 
 
 def cmd_repulsion(settings, started):
     arc = _load(settings)
     E = settings.get("E", 0.0, float)
-    eps_grid = settings.get("eps_grid", "0.9,1.3,1.9,2.6")
-    if isinstance(eps_grid, str):
-        eps_grid = [float(v) for v in eps_grid.split(",")]
+    eps_grid = _float_list(settings, "eps_grid", "0.9,1.3,1.9,2.6")
     out = settings.get("out", "repulsion.json")
     curve_csv = settings.get("curve_csv", "repulsion_curve.csv")
     curve = un.level_repulsion_curve(arc, E, np.asarray(eps_grid))
@@ -315,14 +315,10 @@ def cmd_repulsion(settings, started):
         for e, p, h in zip(curve.eps_grid, curve.probabilities, curve.hits):
             se = math.sqrt(max(p * (1.0 - p), 0.0) / arc.samples)
             fh.write(f"{e:.17g},{p:.17g},{se:.17g},{h}\n")
-    weg_eps = settings.get("wegner_eps", "0.5,1.0,2.0")
-    if isinstance(weg_eps, str):
-        weg_eps = [float(v) for v in weg_eps.split(",")]
+    weg_eps = _float_list(settings, "wegner_eps", "0.5,1.0,2.0")
     weg = [un.wegner_statistic(arc, E, e) for e in weg_eps]
     weg_slope = float(np.polyfit(np.log(weg_eps), np.log(weg), 1)[0]) if len(weg_eps) > 1 else None
-    k_grid = settings.get("K_grid", "1,2,4,8")
-    if isinstance(k_grid, str):
-        k_grid = [float(v) for v in k_grid.split(",")]
+    k_grid = _float_list(settings, "K_grid", "1,2,4,8")
     tail = un.gap_tail(arc, E, k_grid)
     payload = {
         "E": E,
@@ -335,9 +331,7 @@ def cmd_repulsion(settings, started):
         "wegner": {"eps": weg_eps, "mean_counts": weg, "log_slope": weg_slope},
         "gap_tail": {"K": list(map(float, k_grid)), "probabilities": [float(v) for v in tail]},
     }
-    _write_json(out, payload)
-    _write_manifest("repulsion", settings.snapshot(), [out, curve_csv], started)
-    print(json.dumps(payload, indent=2))
+    _emit("repulsion", settings, started, payload, [out, curve_csv])
 
 
 def cmd_vandermonde(settings, started):
@@ -350,7 +344,6 @@ def cmd_vandermonde(settings, started):
             settings.require("N", int),
             settings.get("samples", 20, int),
             settings.get("seed", 0, int),
-            threads=settings.get("threads", None, int),
         )
     eta = settings.get("eta", None, float)
     stats = [un.vandermonde_statistic(row, eta) for row in arc.data]
@@ -366,9 +359,7 @@ def cmd_vandermonde(settings, started):
         "x2_moment": x2,
         "log_energy": log_energy,
     }
-    _write_json(out, payload)
-    _write_manifest("vandermonde", settings.snapshot(), [out], started)
-    print(json.dumps(payload, indent=2))
+    _emit("vandermonde", settings, started, payload, [out])
 
 
 def cmd_report(settings, started):
@@ -407,9 +398,8 @@ def cmd_report(settings, started):
         "all_pass": bool(passes) and all(passes),
         "reports": merged,
     }
-    _write_json(out, summary)
-    _write_manifest("report", settings.snapshot(), [out], started)
-    print(f"merged {len(merged)} reports, {sum(passes)}/{len(passes)} checks passed")
+    _emit("report", settings, started, summary, [out],
+          echo=f"merged {len(merged)} reports, {sum(passes)}/{len(passes)} checks passed")
 
 
 COMMANDS = {
@@ -438,8 +428,7 @@ def build_parser():
     parser = _Parser(
         prog="wignerlab",
         description="Random-matrix universality laboratory. Flags override the "
-        "--config file (flat key=value lines), which overrides defaults. "
-        "WLAB_THREADS overrides the worker count.",
+        "--config file (flat key=value lines), which overrides defaults.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -449,13 +438,11 @@ def build_parser():
         p.add_argument("--out", "-o", help="output path")
         for flag, kwargs in specs:
             p.add_argument(flag, **kwargs)
-        return p
 
     common_gen = [
         ("--N", dict(type=int, help="matrix dimension")),
         ("--samples", dict(type=int, help="sample count")),
         ("--seed", dict(type=int, help="base RNG seed")),
-        ("--threads", dict(type=int, help="worker threads")),
         ("--label", dict(help="archive label")),
     ]
     add(
@@ -463,16 +450,16 @@ def build_parser():
         "generate an eigenvalue archive",
         *common_gen,
         ("--kind", dict(choices=["gue", "wigner", "poisson"], help="ensemble kind")),
-        ("--entry-law", dict(dest="entry_law", choices=["gaussian", "uniform", "rademacher-smoothed"])),
+        ("--entry-law", dict(choices=["gaussian", "uniform", "rademacher-smoothed"])),
         ("--beta", dict(type=float, help="Gaussian-component exponent")),
-        ("--evolve-t", dict(dest="evolve_t", type=float, help="extra OU flow time")),
+        ("--evolve-t", dict(type=float, help="extra OU flow time")),
     )
     add(
         "evolve",
         "sample then run the matrix OU flow",
         *common_gen,
         ("--kind", dict(choices=["gue", "wigner"])),
-        ("--entry-law", dict(dest="entry_law", choices=["gaussian", "uniform", "rademacher-smoothed"])),
+        ("--entry-law", dict(choices=["gaussian", "uniform", "rademacher-smoothed"])),
         ("--beta", dict(type=float)),
         ("--t", dict(type=float, help="OU flow time")),
     )
@@ -480,23 +467,23 @@ def build_parser():
         "semicircle",
         "local density and counting-function checks",
         ("--archive", dict(help="input archive")),
-        ("--eta-star", dict(dest="eta_star", type=float)),
-        ("--density-tol", dict(dest="density_tol", type=float)),
-        ("--count-tol", dict(dest="count_tol", type=float)),
+        ("--eta-star", dict(type=float)),
+        ("--density-tol", dict(type=float)),
+        ("--count-tol", dict(type=float)),
     )
     add(
         "rigidity",
         "quantile rigidity checks",
         ("--archive", dict()),
         ("--kappa", dict(type=float)),
-        ("--location-tol", dict(dest="location_tol", type=float)),
+        ("--location-tol", dict(type=float)),
     )
     window_flags = [
         ("--archive", dict()),
         ("--L", dict(type=int, help="window base index")),
         ("--n", dict(type=int, help="window size")),
         ("--B", dict(type=float, help="external cutoff exponent")),
-        ("--sample-index", dict(dest="sample_index", type=int)),
+        ("--sample-index", dict(type=int)),
     ]
     add("window", "extract and dump a window decomposition", *window_flags)
     add(
@@ -504,19 +491,19 @@ def build_parser():
         "orthogonal-polynomial diagnostics for a window weight",
         *window_flags,
         ("--profile", dict(choices=["equispaced"])),
-        ("--root-cap", dict(dest="root_cap", type=int)),
+        ("--root-cap", dict(type=int)),
         ("--energy", dict(type=float)),
-        ("--scan-points", dict(dest="scan_points", type=int)),
-        ("--recurrence-csv", dict(dest="recurrence_csv")),
-        ("--kernel-csv", dict(dest="kernel_csv")),
+        ("--scan-points", dict(type=int)),
+        ("--recurrence-csv", dict()),
+        ("--kernel-csv", dict()),
     )
     add(
         "equilibrium",
         "equilibrium endpoints and local-universality report",
         *window_flags,
         ("--profile", dict(choices=["equispaced"])),
-        ("--root-cap", dict(dest="root_cap", type=int)),
-        ("--J-half-width", dict(dest="J_half_width", type=float)),
+        ("--root-cap", dict(type=int)),
+        ("--J-half-width", dict(type=float)),
     )
     add(
         "sine",
@@ -531,10 +518,10 @@ def build_parser():
         "level repulsion, Wegner, and gap-tail curves",
         ("--archive", dict()),
         ("--E", dict(type=float)),
-        ("--eps-grid", dict(dest="eps_grid")),
-        ("--wegner-eps", dict(dest="wegner_eps")),
-        ("--K-grid", dict(dest="K_grid")),
-        ("--curve-csv", dict(dest="curve_csv")),
+        ("--eps-grid", dict()),
+        ("--wegner-eps", dict()),
+        ("--K-grid", dict()),
+        ("--curve-csv", dict()),
     )
     add(
         "vandermonde",
@@ -553,7 +540,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         started = time.time()
         COMMANDS[args.command](Settings(args), started)
-    except (ValueError, ArchiveFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ArchiveFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -4,8 +4,8 @@ SDE (Dyson Brownian motion), and the explicit eigenvalue transition kernel.
 Matrix entries follow the 1/sqrt(N) normalization: off-diagonal real and
 imaginary parts have variance 1/2 and diagonals variance 1 before scaling,
 so E Tr H^2 = N. All sampling is driven by explicit numpy Generators;
-``sample_stream`` builds counter-based splittable per-index streams so
-ensemble sweeps are reproducible under any parallel schedule.
+``sample_stream`` builds counter-based splittable per-index streams, so
+sample i of a seeded sweep does not depend on the other samples.
 """
 
 import math
@@ -18,6 +18,11 @@ from .spectral import require_spectrum
 ENTRY_LAWS = ("gaussian", "uniform", "rademacher-smoothed", "custom-density")
 
 _RADEMACHER_SMOOTH = 0.5  # Gaussian smoothing width before renormalization
+
+
+def _diag_indices(n):
+    """Positions of the diagonal entries in a packed n x n upper triangle."""
+    return np.cumsum(np.concatenate(([0], np.arange(n, 1, -1))))
 
 
 def sample_stream(seed, index=0):
@@ -61,9 +66,7 @@ class HermitianMatrix:
 
     def trace_square(self):
         """Tr H^2 from the packed triangle."""
-        n = self.dim
-        diag_idx = np.cumsum(np.concatenate(([0], np.arange(n, 1, -1))))
-        diag = self.packed[diag_idx].real
+        diag = self.packed[_diag_indices(self.dim)].real
         total = 2.0 * float(np.sum(np.abs(self.packed) ** 2)) - float(np.sum(diag**2))
         return total
 
@@ -79,15 +82,11 @@ class EnsembleConfig:
     N: int
     beta_exponent: float = 0.5
     entry_law: str = "gaussian"
-    seed: int = 0
-    sample_count: int = 1
     custom_sampler: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("dimension must be positive")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
         if self.entry_law not in ENTRY_LAWS:
             raise ValueError(f"unknown entry law {self.entry_law!r}")
         if self.entry_law == "custom-density" and self.custom_sampler is None:
@@ -123,7 +122,7 @@ def _packed_hermitian(N, law, rng, custom_sampler=None):
     re = _standardized_draw(law, rng, m, custom_sampler)
     im = _standardized_draw(law, rng, m, custom_sampler)
     packed = (re + 1j * im) / math.sqrt(2.0)
-    diag_idx = np.cumsum(np.concatenate(([0], np.arange(N, 1, -1))))
+    diag_idx = _diag_indices(N)
     packed[diag_idx] = re[diag_idx]  # real diagonal, variance 1
     return HermitianMatrix(N, packed / math.sqrt(N))
 
@@ -144,35 +143,10 @@ def sample_wigner(config, stream):
     return HermitianMatrix(config.N, packed)
 
 
-@dataclass(frozen=True)
-class OUFlowState:
-    """One realization of the matrix Ornstein-Uhlenbeck flow: the initial
-    matrix, the Gaussian direction, and the elapsed time. The evolved
-    matrix is e^(-t/2) H0 + (1 - e^(-t))^(1/2) V exactly; no
-    discretization enters the matrix flow."""
-
-    time: float
-    initial: HermitianMatrix
-    gaussian_direction: HermitianMatrix
-
-    def evolved(self):
-        t = self.time
-        packed = (
-            math.exp(-t / 2.0) * self.initial.packed
-            + math.sqrt(-math.expm1(-t)) * self.gaussian_direction.packed
-        )
-        return HermitianMatrix(self.initial.dim, packed)
-
-
-def ou_flow_state(h0, t, stream):
-    """Draw the Gaussian direction for an exact OU step of duration t."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return OUFlowState(time=t, initial=h0, gaussian_direction=sample_gue(h0.dim, stream))
-
-
 def ou_evolve(h0, t, stream):
-    """Matrix Ornstein-Uhlenbeck flow, exact in law.
+    """Matrix Ornstein-Uhlenbeck flow, exact in law: the evolved matrix is
+    e^(-t/2) H0 + (1 - e^(-t))^(1/2) V with V a fresh GUE draw from the
+    stream; no discretization enters the matrix flow.
 
     t = 0 returns H0 unchanged without consuming the stream.
     """
@@ -180,7 +154,9 @@ def ou_evolve(h0, t, stream):
         raise ValueError("time must be nonnegative")
     if t == 0:
         return h0
-    return ou_flow_state(h0, t, stream).evolved()
+    v = sample_gue(h0.dim, stream)
+    packed = math.exp(-t / 2.0) * h0.packed + math.sqrt(-math.expm1(-t)) * v.packed
+    return HermitianMatrix(h0.dim, packed)
 
 
 @dataclass(frozen=True)
@@ -278,10 +254,14 @@ def transition_kernel_logdensity(lam, nu, s):
         raise ValueError("lam and nu must be 1-D of equal length")
     if s <= 0:
         raise ValueError("time must be positive")
+    # Delta(lam)/Delta(nu) and the determinant each flip sign under
+    # reordering and the product does not, so evaluate in sorted order: the
+    # value is then exactly permutation invariant, and the determinant of the
+    # totally positive Gaussian kernel must come out positive.
+    lam, nu = np.sort(lam), np.sort(nu)
     N = len(lam)
     for v, name in ((lam, "lam"), (nu, "nu")):
-        u = np.sort(v)
-        if N > 1 and np.min(np.diff(u)) <= 0:
+        if N > 1 and np.min(np.diff(v)) <= 0:
             raise ValueError(f"coincident points in {name}")
     c = math.exp(-s / 2.0)
     one_mc2 = -math.expm1(-s)  # 1 - c^2
@@ -293,10 +273,6 @@ def transition_kernel_logdensity(lam, nu, s):
         - 0.5 * N * math.log(one_mc2)
     )
 
-    # Delta(lam)/Delta(nu) and the determinant each flip sign under
-    # reordering; the product is invariant, so work with absolute values of
-    # the Vandermondes and track the determinant sign against the sign the
-    # sorted configuration would produce.
     log_ratio = log_vandermonde(lam) - log_vandermonde(nu)
 
     a = -N * (c * lam[:, None] - nu[None, :]) ** 2 / (2.0 * one_mc2)
@@ -307,25 +283,7 @@ def transition_kernel_logdensity(lam, nu, s):
     sign, logdet = np.linalg.slogdet(np.exp(a))
     if sign == 0 or not np.isfinite(logdet):
         raise FloatingPointError("transition determinant underflowed to singular")
-    perm_sign = _sort_sign(lam) * _sort_sign(nu)
-    if sign * perm_sign < 0:
+    if sign < 0:
         raise FloatingPointError("transition determinant lost positivity")
     return float(log_pref + log_ratio + float(row.sum() + col.sum()) + logdet)
 
-
-def _sort_sign(v):
-    """Sign of the permutation sorting v ascending."""
-    perm = np.argsort(v)
-    sign = 1
-    seen = np.zeros(len(v), dtype=bool)
-    for i in range(len(v)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

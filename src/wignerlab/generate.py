@@ -1,12 +1,9 @@
-"""Parallel ensemble generation into eigenvalue archives.
+"""Ensemble generation into eigenvalue archives.
 
 Each sample index owns a splittable RNG stream keyed by (seed, index), so
-archives are bit-identical for any thread count or schedule. Threads share
-nothing mutable; LAPACK releases the GIL during diagonalization.
+row i of an archive depends only on (seed, i), not on how many rows are
+drawn.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -16,51 +13,26 @@ from .spectral import eigenvalues
 from .universality import poisson_spectra
 
 
-def thread_count(requested=None):
-    if requested is not None and requested > 0:
-        return requested
-    env = os.environ.get("WLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _parallel_rows(worker, samples, threads):
-    rows = [None] * samples
-    if threads <= 1:
-        for i in range(samples):
-            rows[i] = worker(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, row in enumerate(pool.map(worker, range(samples))):
-                rows[i] = row
-    return np.array(rows)
-
-
 def generate_archive(kind, N, samples, seed, *, beta_exponent=0.5, entry_law="gaussian",
-                     evolve_time=0.0, threads=None, label=None):
+                     evolve_time=0.0, label=None):
     """Sample an ensemble and return the archive of its spectra.
 
     kind: "gue" | "wigner" | "poisson". Wigner samples use the Gaussian
     component s^2 = N^(-3/4 + beta_exponent) and the given entry law; a
     positive evolve_time additionally runs the matrix OU flow.
     """
-    threads = thread_count(threads)
     if kind == "poisson":
-        data = poisson_spectra(N, samples, seed)
-        return Archive(N=N, label=label or "poisson", data=data)
+        return Archive(N=N, label=label or "poisson", data=poisson_spectra(N, samples, seed))
     if kind == "wigner":
-        config = EnsembleConfig(N=N, beta_exponent=beta_exponent, entry_law=entry_law,
-                                seed=seed, sample_count=samples)
+        config = EnsembleConfig(N=N, beta_exponent=beta_exponent, entry_law=entry_law)
     elif kind != "gue":
         raise ValueError(f"unknown ensemble kind {kind!r}")
 
-    def worker(i):
+    data = np.empty((samples, N))
+    for i in range(samples):
         stream = sample_stream(seed, i)
         h = sample_gue(N, stream) if kind == "gue" else sample_wigner(config, stream)
         if evolve_time > 0:
             h = ou_evolve(h, evolve_time, stream)
-        return eigenvalues(h)
-
-    data = _parallel_rows(worker, samples, threads)
+        data[i] = eigenvalues(h)
     return Archive(N=N, label=label or kind, data=data)

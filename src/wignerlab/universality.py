@@ -3,8 +3,7 @@ reference and kernel-limit scan, level repulsion / Wegner / gap-tail
 curves, and the 3/4 energy constant of the log-gas.
 
 Archive-based estimators consume (samples, N) arrays of ascending spectra
-and reduce per-sample statistics with order-independent averages, so
-parallel and serial scans agree exactly.
+and reduce per-sample statistics to ensemble averages.
 """
 
 import math

@@ -1,13 +1,43 @@
+import contextlib
 import hashlib
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerlab.archive import Archive, ArchiveFormatError, load_archive, save_archive
+from wignerlab.archive import MAGIC, Archive, ArchiveFormatError, load_archive, save_archive
 from wignerlab.cli import main
+from wignerlab.ensemble import EnsembleConfig, ou_evolve, sample_gue, sample_stream, sample_wigner
+from wignerlab.generate import generate_archive
+from wignerlab.spectral import eigenvalues
+
+# (file name, bytes) of archives that load_archive must reject
+MALFORMED = [
+    ("nan.csv", b"3,2,gue\n-1,nan,1\n-1,0,1\n"),
+    ("tie.csv", b"3,2,gue\n-1,0,0\n-1,0,1\n"),
+    ("inf.csv", b"3,2,gue\n-inf,0,1\n-1,0,1\n"),
+    ("short.bin", b"WLAB1\x01\x00"),
+    ("text.csv", b"2,1,x\na,b\n"),
+    ("emptycell.csv", b"3,1,x\n1,,2\n"),
+    ("latin1.csv", b"2,1,caf\xe9\n0,1\n"),
+    ("odd.bin", MAGIC + struct.pack("<QQ", 1, 1) + b"\x00" * 7),
+    ("empty.bin", MAGIC + struct.pack("<QQ", 0, 5)),
+    ("huge.bin", MAGIC + struct.pack("<QQ", 0, 2**64 - 1)),
+    ("norows.csv", b"3,0,x\n"),
+]
+
+# arbitrary bytes, CSV-like text, and .bin headers with small or arbitrary dimensions
+dimension = st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1))
+fuzz_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.text(alphabet="0123456789,.-+einfa \n\r\x00\xe9", max_size=64).map(lambda t: t.encode("utf-8")),
+    st.builds(lambda n, s, body: MAGIC + struct.pack("<QQ", n, s) + body,
+              dimension, dimension, st.binary(max_size=48)),
+)
 
 
 def sorted_rows(samples, n):
@@ -85,18 +115,54 @@ class TestArchiveIO:
         with pytest.raises(ArchiveFormatError):
             Archive(N=3, label="x", data=np.zeros((2, 4)))
 
+    def test_empty_archive_rejected(self):
+        for N, data in ((0, np.zeros((2, 0))), (3, np.zeros((0, 3)))):
+            with pytest.raises(ArchiveFormatError, match="at least one"):
+                Archive(N=N, label="x", data=data)
+
+    @pytest.mark.parametrize("name, content", MALFORMED)
+    def test_malformed_archive_raises_format_error(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(ArchiveFormatError):
+            load_archive(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=fuzz_bytes, suffix=st.sampled_from([".csv", ".bin"]))
+    def test_load_arbitrary_bytes_fails_closed(self, tmp_path_factory, content, suffix):
+        path = tmp_path_factory.mktemp("fuzz") / ("a" + suffix)
+        path.write_bytes(content)
+        try:
+            arc = load_archive(str(path))
+        except ArchiveFormatError:
+            return
+        assert arc.N >= 1 and arc.samples >= 1 and arc.data.shape == (arc.samples, arc.N)
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("kind, kwargs", [
+        ("gue", {}),
+        ("wigner", {"entry_law": "uniform"}),
+        ("wigner", {"entry_law": "rademacher-smoothed", "evolve_time": 0.1}),
+    ], ids=["gue", "wigner-uniform", "evolve"])
+    def test_row_i_is_drawn_from_stream_i(self, kind, kwargs):
+        seed, N = 11, 12
+        arc = generate_archive(kind, N, 4, seed, **kwargs)
+        config = EnsembleConfig(N=N, entry_law=kwargs.get("entry_law", "gaussian"))
+        for i in range(4):
+            stream = sample_stream(seed, i)
+            h = sample_gue(N, stream) if kind == "gue" else sample_wigner(config, stream)
+            if "evolve_time" in kwargs:
+                h = ou_evolve(h, kwargs["evolve_time"], stream)
+            assert np.array_equal(arc.data[i], eigenvalues(h))
+        assert np.array_equal(generate_archive(kind, N, 2, seed, **kwargs).data, arc.data[:2])
+
 
 class TestCli:
     def test_sample_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             assert main(["sample", "--N", "40", "--samples", "4", "--seed", "7", "-o", str(path)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_sample_thread_count_invariant(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["sample", "--N", "40", "--samples", "6", "--seed", "7", "-o", str(a)]) == 0
-        assert main(["sample", "--N", "40", "--samples", "6", "--seed", "7", "--threads", "3", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_manifest_digests(self, tmp_path):
@@ -117,18 +183,38 @@ class TestCli:
                      "--beta", "1.0", "-o", str(out)])
         assert code == 1
 
-    @pytest.mark.parametrize("name, content", [
-        ("nan.csv", b"3,2,gue\n-1,nan,1\n-1,0,1\n"),
-        ("tie.csv", b"3,2,gue\n-1,0,0\n-1,0,1\n"),
-        ("inf.csv", b"3,2,gue\n-inf,0,1\n-1,0,1\n"),
-        ("short.bin", b"WLAB1\x01\x00"),
-    ])
+    @pytest.mark.parametrize("name, content", MALFORMED)
     def test_malformed_archive_is_validation_error(self, tmp_path, capsys, name, content):
         arc = tmp_path / name
         arc.write_bytes(content)
         assert main(["sine", "--archive", str(arc), "-o", str(tmp_path / "sine.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=fuzz_bytes, suffix=st.sampled_from([".csv", ".bin"]))
+    def test_sine_on_arbitrary_bytes_fails_closed(self, tmp_path_factory, content, suffix):
+        d = tmp_path_factory.mktemp("fuzz")
+        path = d / ("a" + suffix)
+        path.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sine", "--archive", str(path), "-o", str(d / "sine.json")])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "poisson", "--N", "10", "--samples", "0"],
+        ["--kind", "poisson", "--N", "0", "--samples", "2"],
+        ["--kind", "gue", "--N", "10", "--samples", "0"],
+    ], ids=["poisson-no-samples", "poisson-N0", "gue-no-samples"])
+    def test_empty_archive_is_validation_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "e.csv"
+        assert main(["sample", *flags, "--seed", "1", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, monkeypatch):
         from wignerlab import cli
@@ -148,6 +234,16 @@ class TestCli:
         out2 = tmp_path / "c2.csv"
         assert main(["sample", "--config", str(cfg), "--N", "40", "-o", str(out2)]) == 0
         assert load_archive(str(out2)).N == 40  # flag wins
+
+    @pytest.mark.parametrize("key", ["sed", "threads"])
+    def test_unknown_config_key_is_validation_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"N = 30\nsamples = 2\n{key} = 5\n")
+        out = tmp_path / "c.csv"
+        assert main(["sample", "--config", str(cfg), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+        assert not out.exists()
 
     def test_missing_required_option(self):
         assert main(["sample", "--N", "10"]) == 1  # no samples/out
