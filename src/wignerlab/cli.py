@@ -2,22 +2,29 @@
 
 Subcommands cover every acceptance experiment: sample, evolve, semicircle,
 rigidity, window, oplocal, equilibrium, sine, repulsion, vandermonde,
-report. Flag precedence is flags > config file > defaults; the config file
-is a flat key=value text format (same keys as the long flags, dashes or
-underscores). Every run writes its outputs plus a RunManifest JSON
-recording the resolved config, code version, wall time, seed scheme, and
-output digests. Exit status: 0 success, 1 validation error, 2 numerical
-failure.
+report. `build_parser` declares each option's type and default once, so
+`--help` shows them. Flag precedence is flags > config file > defaults; the
+config file is flat UTF-8 key=value text (same keys as the long flags,
+dashes or underscores) whose values go through each option's type.
+`--sample-index` must lie in 0..samples-1. Every run writes its outputs
+plus a manifest JSON recording the resolved config (every option), the
+environment (Python, numpy, scipy, BLAS, cores, BLAS thread variables),
+code version, wall time, seed scheme, and output digests. Exit status: 0
+success, 1 validation error, 2 numerical failure.
 """
 
 import argparse
+import glob
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import equilibrium as eqm
@@ -31,7 +38,7 @@ from .generate import generate_archive
 
 def _parse_config_file(path):
     out = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -43,37 +50,10 @@ def _parse_config_file(path):
     return out
 
 
-class Settings:
-    """Flag > config-file > default resolution for one run."""
-
-    def __init__(self, args):
-        self.flags = vars(args)
-        self.file = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(self.file) - (set(self.flags) - {"command", "config"}))
-        if unknown:
-            raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
-
-    def get(self, key, default=None, cast=None):
-        val = self.flags.get(key)
-        if val is None and key in self.file:
-            val = self.file[key]
-        if val is None:
-            val = default
-        if val is not None and cast is not None and not isinstance(val, cast):
-            val = cast(val)
-        return val
-
-    def require(self, key, cast=None):
-        val = self.get(key, None, cast)
-        if val is None:
+def _require(args, *keys):
+    for key in keys:
+        if getattr(args, key) is None:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        return val
-
-    def snapshot(self):
-        """Resolved configuration for the run manifest."""
-        merged = dict(self.file)
-        merged.update({k: v for k, v in self.flags.items() if v is not None and k != "config"})
-        return merged
 
 
 def _digest(path):
@@ -84,33 +64,43 @@ def _digest(path):
     return h.hexdigest()
 
 
-def _write_manifest(command, resolved, outputs, started):
+def _write_manifest(command, args, outputs, started):
+    # The environment scopes the archive bytes, whose last bits depend on the
+    # BLAS build and its thread count.
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     manifest = {
         "command": command,
-        "config": resolved,
+        "config": {k: v for k, v in vars(args).items() if k != "config"},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "cpu_count": os.cpu_count(),
+            "thread_variables": {v: os.environ.get(v) for v in threads},
+        },
         "code_version": __version__,
         "wall_time_s": round(time.time() - started, 3),
         "seed_scheme": "per-sample Philox streams keyed by SeedSequence(seed, spawn_key=(index,))",
         "outputs": {str(p): _digest(p) for p in outputs},
     }
-    path = f"{outputs[0]}.manifest.json"
-    with open(path, "w") as fh:
+    with open(f"{outputs[0]}.manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
-    return path
 
 
-def _emit(command, settings, started, payload, outputs, echo=None):
+def _emit(args, started, payload, outputs, echo=None):
     """Write the JSON payload to outputs[0] and the manifest over all
     outputs, then print echo (by default the payload itself)."""
     with open(outputs[0], "w") as fh:
         json.dump(payload, fh, indent=2)
-    _write_manifest(command, settings.snapshot(), outputs, started)
+    _write_manifest(args.command, args, outputs, started)
     print(json.dumps(payload, indent=2) if echo is None else echo)
 
 
-def _float_list(settings, key, default):
+def _float_list(text):
     """A comma-separated list option as floats."""
-    return [float(v) for v in settings.get(key, default).split(",")]
+    return [float(v) for v in text.split(",")]
 
 
 def _stat_record(statistic, N, samples, value, threshold, passed):
@@ -124,109 +114,72 @@ def _stat_record(statistic, N, samples, value, threshold, passed):
     }
 
 
-def _load(settings):
-    return load_archive(settings.require("archive"))
+def cmd_sample(args, started):
+    """Write an archive; evolve is sample with --t as the extra OU flow time."""
+    evolve_time = args.t if args.command == "evolve" else args.evolve_t
+    arc = generate_archive(args.kind, args.N, args.samples, args.seed, beta_exponent=args.beta,
+                           entry_law=args.entry_law, evolve_time=evolve_time, label=args.label)
+    save_archive(arc, args.out)
+    _write_manifest("sample", args, [args.out], started)
+    print(f"wrote {arc.samples} spectra of size {arc.N} to {args.out}")
 
 
-def cmd_sample(settings, started):
-    kind = settings.get("kind", "gue")
-    N = settings.require("N", int)
-    samples = settings.require("samples", int)
-    seed = settings.get("seed", 0, int)
-    out = settings.require("out")
-    arc = generate_archive(
-        kind,
-        N,
-        samples,
-        seed,
-        beta_exponent=settings.get("beta", 0.5, float),
-        entry_law=settings.get("entry_law", "gaussian"),
-        evolve_time=settings.get("evolve_t", 0.0, float),
-        label=settings.get("label"),
-    )
-    save_archive(arc, out)
-    _write_manifest("sample", settings.snapshot(), [out], started)
-    print(f"wrote {arc.samples} spectra of size {arc.N} to {out}")
-
-
-def cmd_evolve(settings, started):
-    if settings.get("kind") is None:
-        settings.flags["kind"] = "wigner"
-    if settings.get("evolve_t") is None:
-        settings.flags["evolve_t"] = settings.require("t", float)
-    cmd_sample(settings, started)
-
-
-def cmd_semicircle(settings, started):
-    arc = _load(settings)
-    eta_star = settings.get("eta_star", 0.01, float)
-    dens_tol = settings.get("density_tol", 0.05, float)
-    count_tol = settings.get("count_tol", 0.02, float)
-    out = settings.get("out", "semicircle.json")
-    dens_dev = [sp.semicircle_density_sup_deviation(row, eta_star) for row in arc.data]
+def cmd_semicircle(args, started):
+    arc = load_archive(args.archive)
+    dens_dev = [sp.semicircle_density_sup_deviation(row, args.eta_star) for row in arc.data]
     count_dev = [sp.counting_function_sup_deviation(row) for row in arc.data]
-    frac_dens = float(np.mean(np.asarray(dens_dev) <= dens_tol))
-    frac_count = float(np.mean(np.asarray(count_dev) <= count_tol))
+    frac_dens = float(np.mean(np.asarray(dens_dev) <= args.density_tol))
+    frac_count = float(np.mean(np.asarray(count_dev) <= args.count_tol))
     records = [
         _stat_record("local_density_sup_dev_pass_fraction", arc.N, arc.samples, frac_dens, 0.9, frac_dens >= 0.9),
         _stat_record("counting_function_sup_dev_pass_fraction", arc.N, arc.samples, frac_count, 0.9, frac_count >= 0.9),
     ]
-    _emit("semicircle", settings, started, records, [out])
+    _emit(args, started, records, [args.out])
 
 
-def cmd_rigidity(settings, started):
-    arc = _load(settings)
-    kappa = settings.get("kappa", 0.1, float)
-    out = settings.get("out", "rigidity.json")
-    loc_tol = settings.get("location_tol", 0.05, float)
-    devs = [sp.rigidity_check(row, kappa) for row in arc.data]
+def cmd_rigidity(args, started):
+    arc = load_archive(args.archive)
+    devs = [sp.rigidity_check(row, args.kappa) for row in arc.data]
     loc = np.array([d[0] for d in devs])
     pair = np.array([d[1] for d in devs])
-    frac = float(np.mean(loc <= loc_tol))
+    frac = float(np.mean(loc <= args.location_tol))
     records = [
         _stat_record("rigidity_location_pass_fraction", arc.N, arc.samples, frac, 0.9, frac >= 0.9),
         _stat_record("rigidity_pair_dev_median", arc.N, arc.samples, float(np.median(pair)), None, True),
     ]
-    _emit("rigidity", settings, started, records, [out])
+    _emit(args, started, records, [args.out])
 
 
-def _window_from_settings(settings, arc):
-    L = settings.require("L", int)
-    n = settings.require("n", int)
-    idx = settings.get("sample_index", 0, int)
-    return lw.extract_window(arc.data[idx], L, n)
+def _window(args, arc):
+    _require(args, "L", "n")
+    if not 0 <= args.sample_index < arc.samples:
+        raise ValueError(f"--sample-index {args.sample_index} is outside 0..{arc.samples - 1}")
+    return lw.extract_window(arc.data[args.sample_index], args.L, args.n)
 
 
-def cmd_window(settings, started):
-    arc = _load(settings)
-    B = settings.get("B", 2.0, float)
-    out = settings.get("out", "window.json")
-    win = _window_from_settings(settings, arc)
-    res = lw.rescale(win, B)
+def cmd_window(args, started):
+    win = _window(args, load_archive(args.archive))
+    res = lw.rescale(win, args.B)
     payload = {
         "L": win.L,
         "n": win.n,
-        "B": B,
+        "B": args.B,
         "center": res.center,
         "half_width": res.half_width,
         "internal": [float(v) for v in res.internal_rescaled],
         "external_rescaled": [float(v) for v in res.external_rescaled],
     }
-    _emit("window", settings, started, payload, [out], echo=f"wrote window dump to {out}")
+    _emit(args, started, payload, [args.out], echo=f"wrote window dump to {args.out}")
 
 
-def _weight_from_settings(settings):
-    n = settings.get("n", 64, int)
-    B = settings.get("B", 2.0, float)
-    profile = settings.get("profile", "equispaced")
-    if settings.get("archive") is not None:
-        arc = _load(settings)
-        win = _window_from_settings(settings, arc)
-        return lw.weight_from_window(lw.rescale(win, B))
-    if profile != "equispaced":
-        raise ValueError(f"unknown profile {profile!r}")
-    cap = settings.get("root_cap", lw.DEFAULT_ROOT_CAP, int)
-    return lw.equispaced_weight(n, B=B, root_cap=cap)
+def _weight(args):
+    if args.archive is not None:
+        win = _window(args, load_archive(args.archive))
+        return lw.weight_from_window(lw.rescale(win, args.B))
+    # The one flag-dependent default: --n is 64 for the equispaced weight and
+    # required with --archive. `is None`, so an explicit --n 0 is kept.
+    n = 64 if args.n is None else args.n
+    return lw.equispaced_weight(n, B=args.B, root_cap=args.root_cap)
 
 
 def _quadrature_and_recurrence(weight):
@@ -235,29 +188,25 @@ def _quadrature_and_recurrence(weight):
     return quad, op.stieltjes_recurrence(weight, quad, weight.n + 1)
 
 
-def cmd_oplocal(settings, started):
-    weight = _weight_from_settings(settings)
+def cmd_oplocal(args, started):
+    weight = _weight(args)
     n = weight.n
-    out = settings.get("out", "oplocal.json")
-    rec_csv = settings.get("recurrence_csv", "recurrence.csv")
-    scan_csv = settings.get("kernel_csv", "kernel_scan.csv")
     quad, rec = _quadrature_and_recurrence(weight)
-    with open(rec_csv, "w") as fh:
+    with open(args.recurrence_csv, "w") as fh:
         fh.write("j,alpha_j,beta_j\n")
         for j in range(rec.max_degree):
             fh.write(f"{j},{rec.alpha[j]:.17g},{rec.beta[j]:.17g}\n")
-    E = settings.get("energy", 0.0, float)
-    rho = op.density(rec, weight, n, E)
-    offsets = np.linspace(-1.5, 1.5, settings.get("scan_points", 21, int))
-    pts = E + offsets / (n * rho)
+    rho = op.density(rec, weight, n, args.energy)
+    offsets = np.linspace(-1.5, 1.5, args.scan_points)
+    pts = args.energy + offsets / (n * rho)
     kmat = op.kernel_matrix(rec, weight, n, pts)
     dens = op.density(rec, weight, n, pts)
-    with open(scan_csv, "w") as fh:
+    with open(args.kernel_csv, "w") as fh:
         fh.write("x,y,K_n,rho_n\n")
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 fh.write(f"{x:.17g},{y:.17g},{kmat[i, j]:.17g},{dens[i]:.17g}\n")
-    max_dev = un.kernel_limit_scan(rec, weight, n, E, rho, offsets)
+    max_dev = un.kernel_limit_scan(rec, weight, n, args.energy, rho, offsets)
     table = op._psi_table(rec, weight, n - 1, quad.nodes)
     gram = (table * quad.weights) @ table.T
     payload = {
@@ -268,26 +217,20 @@ def cmd_oplocal(settings, started):
         "gram_residual": float(np.max(np.abs(gram - np.eye(n)))),
         "kernel_trace": float(np.sum(quad.weights * np.sum(table * table, axis=0))),
     }
-    _emit("oplocal", settings, started, payload, [out, rec_csv, scan_csv])
+    _emit(args, started, payload, [args.out, args.recurrence_csv, args.kernel_csv])
 
 
-def cmd_equilibrium(settings, started):
-    weight = _weight_from_settings(settings)
-    out = settings.get("out", "equilibrium.json")
+def cmd_equilibrium(args, started):
+    weight = _weight(args)
     support = eqm.solve_endpoints(weight)
     _, rec = _quadrature_and_recurrence(weight)
-    half = settings.get("J_half_width", 0.8, float)
-    report = eqm.levin_lubinsky_report(support, rec, weight, (-half, half))
-    _emit("equilibrium", settings, started, report, [out])
+    report = eqm.levin_lubinsky_report(support, rec, weight, (-args.J_half_width, args.J_half_width))
+    _emit(args, started, report, [args.out])
 
 
-def cmd_sine(settings, started):
-    arc = _load(settings)
-    E0 = settings.get("E0", 0.0, float)
-    delta = settings.get("delta", 0.2, float)
-    out = settings.get("out", "sine.json")
-    obs = un.bump_observable(settings.get("radius", 3.0, float))
-    est = un.two_point_estimator(arc, E0, delta, obs)
+def cmd_sine(args, started):
+    arc = load_archive(args.archive)
+    est = un.two_point_estimator(arc, args.E0, args.delta, un.bump_observable(args.radius))
     tol = 0.1 * abs(est.reference) + 3.0 * est.stderr
     payload = {
         "E0": est.E0,
@@ -300,28 +243,24 @@ def cmd_sine(settings, started):
         "tolerance": tol,
         "pass": bool(abs(est.value - est.reference) <= tol),
     }
-    _emit("sine", settings, started, payload, [out])
+    _emit(args, started, payload, [args.out])
 
 
-def cmd_repulsion(settings, started):
-    arc = _load(settings)
-    E = settings.get("E", 0.0, float)
-    eps_grid = _float_list(settings, "eps_grid", "0.9,1.3,1.9,2.6")
-    out = settings.get("out", "repulsion.json")
-    curve_csv = settings.get("curve_csv", "repulsion_curve.csv")
-    curve = un.level_repulsion_curve(arc, E, np.asarray(eps_grid))
-    with open(curve_csv, "w") as fh:
+def cmd_repulsion(args, started):
+    arc = load_archive(args.archive)
+    curve = un.level_repulsion_curve(arc, args.E, np.asarray(_float_list(args.eps_grid)))
+    with open(args.curve_csv, "w") as fh:
         fh.write("eps,probability,stderr,hits\n")
         for e, p, h in zip(curve.eps_grid, curve.probabilities, curve.hits):
             se = math.sqrt(max(p * (1.0 - p), 0.0) / arc.samples)
             fh.write(f"{e:.17g},{p:.17g},{se:.17g},{h}\n")
-    weg_eps = _float_list(settings, "wegner_eps", "0.5,1.0,2.0")
-    weg = [un.wegner_statistic(arc, E, e) for e in weg_eps]
+    weg_eps = _float_list(args.wegner_eps)
+    weg = [un.wegner_statistic(arc, args.E, e) for e in weg_eps]
     weg_slope = float(np.polyfit(np.log(weg_eps), np.log(weg), 1)[0]) if len(weg_eps) > 1 else None
-    k_grid = _float_list(settings, "K_grid", "1,2,4,8")
-    tail = un.gap_tail(arc, E, k_grid)
+    k_grid = _float_list(args.K_grid)
+    tail = un.gap_tail(arc, args.E, k_grid)
     payload = {
-        "E": E,
+        "E": args.E,
         "samples": arc.samples,
         "eps_grid": list(map(float, curve.eps_grid)),
         "probabilities": list(map(float, curve.probabilities)),
@@ -331,22 +270,16 @@ def cmd_repulsion(settings, started):
         "wegner": {"eps": weg_eps, "mean_counts": weg, "log_slope": weg_slope},
         "gap_tail": {"K": list(map(float, k_grid)), "probabilities": [float(v) for v in tail]},
     }
-    _emit("repulsion", settings, started, payload, [out, curve_csv])
+    _emit(args, started, payload, [args.out, args.curve_csv])
 
 
-def cmd_vandermonde(settings, started):
-    out = settings.get("out", "vandermonde.json")
-    if settings.get("archive") is not None:
-        arc = _load(settings)
+def cmd_vandermonde(args, started):
+    if args.archive is not None:
+        arc = load_archive(args.archive)
     else:
-        arc = generate_archive(
-            "gue",
-            settings.require("N", int),
-            settings.get("samples", 20, int),
-            settings.get("seed", 0, int),
-        )
-    eta = settings.get("eta", None, float)
-    stats = [un.vandermonde_statistic(row, eta) for row in arc.data]
+        _require(args, "N")
+        arc = generate_archive("gue", args.N, args.samples, args.seed)
+    stats = [un.vandermonde_statistic(row, args.eta) for row in arc.data]
     x2, log_energy, combo = un.semicircle_constants_check()
     mean = float(np.mean(stats))
     payload = {
@@ -359,19 +292,14 @@ def cmd_vandermonde(settings, started):
         "x2_moment": x2,
         "log_energy": log_energy,
     }
-    _emit("vandermonde", settings, started, payload, [out])
+    _emit(args, started, payload, [args.out])
 
 
-def cmd_report(settings, started):
-    import glob
-    import os
-
-    directory = settings.get("dir", ".")
-    out = settings.get("out", "report.json")
+def cmd_report(args, started):
     merged = {}
-    for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
+    for path in sorted(glob.glob(os.path.join(args.dir, "*.json"))):
         name = os.path.basename(path)
-        if name == os.path.basename(out) or name.endswith(".manifest.json"):
+        if name == os.path.basename(args.out) or name.endswith(".manifest.json"):
             continue
         try:
             with open(path) as fh:
@@ -398,13 +326,13 @@ def cmd_report(settings, started):
         "all_pass": bool(passes) and all(passes),
         "reports": merged,
     }
-    _emit("report", settings, started, summary, [out],
+    _emit(args, started, summary, [args.out],
           echo=f"merged {len(merged)} reports, {sum(passes)}/{len(passes)} checks passed")
 
 
 COMMANDS = {
     "sample": cmd_sample,
-    "evolve": cmd_evolve,
+    "evolve": cmd_sample,
     "semicircle": cmd_semicircle,
     "rigidity": cmd_rigidity,
     "window": cmd_window,
@@ -431,115 +359,119 @@ def build_parser():
         "--config file (flat key=value lines), which overrides defaults.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    def add(name, help_text, *specs):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, help_text, *specs, required=()):
+        # The JSON report goes to <name>.json unless --out is required. Required
+        # options are checked after parsing, since a --config file may give them.
+        p = sub.add_parser(name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.required_options = required
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", "-o", help="output path")
+        p.add_argument("--out", "-o", default=None if "out" in required else f"{name}.json", help="output path")
         for flag, kwargs in specs:
             p.add_argument(flag, **kwargs)
 
-    common_gen = [
-        ("--N", dict(type=int, help="matrix dimension")),
+    N = ("--N", dict(type=int, help="matrix dimension"))
+    seed = ("--seed", dict(type=int, default=0, help="base RNG seed"))
+    label = ("--label", dict(help="archive label"))
+    archive = ("--archive", dict(help="input archive"))
+    ensemble = [
+        N,
         ("--samples", dict(type=int, help="sample count")),
-        ("--seed", dict(type=int, help="base RNG seed")),
-        ("--label", dict(help="archive label")),
+        seed,
+        label,
+        ("--entry-law", dict(choices=["gaussian", "uniform", "rademacher-smoothed"], default="gaussian",
+                             help="law of the Wigner entries")),
+        ("--beta", dict(type=float, default=0.5, help="Gaussian-component exponent")),
     ]
-    add(
-        "sample",
-        "generate an eigenvalue archive",
-        *common_gen,
-        ("--kind", dict(choices=["gue", "wigner", "poisson"], help="ensemble kind")),
-        ("--entry-law", dict(choices=["gaussian", "uniform", "rademacher-smoothed"])),
-        ("--beta", dict(type=float, help="Gaussian-component exponent")),
-        ("--evolve-t", dict(type=float, help="extra OU flow time")),
-    )
-    add(
-        "evolve",
-        "sample then run the matrix OU flow",
-        *common_gen,
-        ("--kind", dict(choices=["gue", "wigner"])),
-        ("--entry-law", dict(choices=["gaussian", "uniform", "rademacher-smoothed"])),
-        ("--beta", dict(type=float)),
+    add("sample", "generate an eigenvalue archive",
+        *ensemble,
+        ("--kind", dict(choices=["gue", "wigner", "poisson"], default="gue", help="ensemble kind")),
+        ("--evolve-t", dict(type=float, default=0.0, help="extra OU flow time")),
+        required=("N", "samples", "out"))
+    add("evolve", "sample then run the matrix OU flow",
+        *ensemble,
+        ("--kind", dict(choices=["gue", "wigner"], default="wigner", help="ensemble kind")),
         ("--t", dict(type=float, help="OU flow time")),
-    )
-    add(
-        "semicircle",
-        "local density and counting-function checks",
-        ("--archive", dict(help="input archive")),
-        ("--eta-star", dict(type=float)),
-        ("--density-tol", dict(type=float)),
-        ("--count-tol", dict(type=float)),
-    )
-    add(
-        "rigidity",
-        "quantile rigidity checks",
-        ("--archive", dict()),
-        ("--kappa", dict(type=float)),
-        ("--location-tol", dict(type=float)),
-    )
+        required=("t", "N", "samples", "out"))
+    add("semicircle", "local density and counting-function checks",
+        archive,
+        ("--eta-star", dict(type=float, default=0.01, help="imaginary part of the Stieltjes transform")),
+        ("--density-tol", dict(type=float, default=0.05, help="local density tolerance")),
+        ("--count-tol", dict(type=float, default=0.02, help="counting function tolerance")),
+        required=("archive",))
+    add("rigidity", "quantile rigidity checks",
+        archive,
+        ("--kappa", dict(type=float, default=0.1, help="bulk margin")),
+        ("--location-tol", dict(type=float, default=0.05, help="quantile location tolerance")),
+        required=("archive",))
     window_flags = [
-        ("--archive", dict()),
+        archive,
         ("--L", dict(type=int, help="window base index")),
-        ("--n", dict(type=int, help="window size")),
-        ("--B", dict(type=float, help="external cutoff exponent")),
-        ("--sample-index", dict(type=int)),
+        ("--n", dict(type=int, help="window size (oplocal, equilibrium: 64 without --archive)")),
+        ("--B", dict(type=float, default=2.0, help="external cutoff exponent")),
+        ("--sample-index", dict(type=int, default=0, help="archive row, 0 to samples-1")),
     ]
-    add("window", "extract and dump a window decomposition", *window_flags)
-    add(
-        "oplocal",
-        "orthogonal-polynomial diagnostics for a window weight",
+    add("window", "extract and dump a window decomposition", *window_flags, required=("archive",))
+    root_cap = ("--root-cap", dict(type=int, default=lw.DEFAULT_ROOT_CAP, help="equispaced roots per side"))
+    add("oplocal", "orthogonal-polynomial diagnostics for a window weight",
         *window_flags,
-        ("--profile", dict(choices=["equispaced"])),
-        ("--root-cap", dict(type=int)),
-        ("--energy", dict(type=float)),
-        ("--scan-points", dict(type=int)),
-        ("--recurrence-csv", dict()),
-        ("--kernel-csv", dict()),
-    )
-    add(
-        "equilibrium",
-        "equilibrium endpoints and local-universality report",
+        root_cap,
+        ("--energy", dict(type=float, default=0.0, help="kernel scan center")),
+        ("--scan-points", dict(type=int, default=21, help="kernel scan points per axis")),
+        ("--recurrence-csv", dict(default="recurrence.csv", help="recurrence output path")),
+        ("--kernel-csv", dict(default="kernel_scan.csv", help="kernel scan output path")))
+    add("equilibrium", "equilibrium endpoints and local-universality report",
         *window_flags,
-        ("--profile", dict(choices=["equispaced"])),
-        ("--root-cap", dict(type=int)),
-        ("--J-half-width", dict(type=float)),
-    )
-    add(
-        "sine",
-        "windowed two-point estimator vs the sine-kernel reference",
-        ("--archive", dict()),
-        ("--E0", dict(type=float)),
-        ("--delta", dict(type=float)),
-        ("--radius", dict(type=float, help="observable support radius")),
-    )
-    add(
-        "repulsion",
-        "level repulsion, Wegner, and gap-tail curves",
-        ("--archive", dict()),
-        ("--E", dict(type=float)),
-        ("--eps-grid", dict()),
-        ("--wegner-eps", dict()),
-        ("--K-grid", dict()),
-        ("--curve-csv", dict()),
-    )
-    add(
-        "vandermonde",
-        "regularized log-gas energy statistic",
-        *common_gen,
-        ("--archive", dict()),
-        ("--eta", dict(type=float)),
-    )
-    add("report", "merge emitted JSON reports", ("--dir", dict()))
+        root_cap,
+        ("--J-half-width", dict(type=float, default=0.8, help="half width of the interval J")))
+    add("sine", "windowed two-point estimator vs the sine-kernel reference",
+        archive,
+        ("--E0", dict(type=float, default=0.0, help="window center")),
+        ("--delta", dict(type=float, default=0.2, help="window half width")),
+        ("--radius", dict(type=float, default=3.0, help="observable support radius")),
+        required=("archive",))
+    add("repulsion", "level repulsion, Wegner, and gap-tail curves",
+        archive,
+        ("--E", dict(type=float, default=0.0, help="energy")),
+        ("--eps-grid", dict(default="0.9,1.3,1.9,2.6", help="comma-separated repulsion windows")),
+        ("--wegner-eps", dict(default="0.5,1.0,2.0", help="comma-separated Wegner windows")),
+        ("--K-grid", dict(default="1,2,4,8", help="comma-separated gap lengths")),
+        ("--curve-csv", dict(default="repulsion_curve.csv", help="repulsion curve output path")),
+        required=("archive",))
+    add("vandermonde", "regularized log-gas energy statistic",
+        N,
+        ("--samples", dict(type=int, default=20, help="sample count without --archive")),
+        seed,
+        label,
+        archive,
+        ("--eta", dict(type=float, help="regularization scale")))
+    add("report", "merge emitted JSON reports", ("--dir", dict(default=".", help="directory of the reports")))
     return parser
 
 
-def main(argv=None):
+def parse_args(argv=None):
+    """The run's options: flags override the --config file, whose values
+    become the subcommand's defaults and so pass through each option's type."""
     parser = build_parser()
-    try:
+    args = parser.parse_args(argv)
+    command = parser.commands[args.command]
+    if args.config is not None:
+        values = _parse_config_file(args.config)
+        unknown = sorted(set(values) - (set(vars(args)) - {"command", "config"}))
+        if unknown:
+            raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+        command.set_defaults(**values)
         args = parser.parse_args(argv)
+    _require(args, *command.required_options)
+    return args
+
+
+def main(argv=None):
+    try:
+        args = parse_args(argv)
         started = time.time()
-        COMMANDS[args.command](Settings(args), started)
+        COMMANDS[args.command](args, started)
     except (ValueError, OSError) as exc:  # ArchiveFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

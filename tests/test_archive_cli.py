@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab import cli
 from wignerlab.archive import MAGIC, Archive, ArchiveFormatError, load_archive, save_archive
 from wignerlab.cli import main
 from wignerlab.ensemble import EnsembleConfig, ou_evolve, sample_gue, sample_stream, sample_wigner
@@ -217,9 +218,7 @@ class TestCli:
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, monkeypatch):
-        from wignerlab import cli
-
-        def boom(settings, started):
+        def boom(args, started):
             raise FloatingPointError("synthetic")
 
         monkeypatch.setitem(cli.COMMANDS, "report", boom)
@@ -234,6 +233,21 @@ class TestCli:
         out2 = tmp_path / "c2.csv"
         assert main(["sample", "--config", str(cfg), "--N", "40", "-o", str(out2)]) == 0
         assert load_archive(str(out2)).N == 40  # flag wins
+
+    @pytest.mark.parametrize("argv, content", [
+        (["sample", "--samples", "1"], "N = ten\n"),
+        (["sample", "--kind", "wigner", "--N", "10", "--samples", "1"], "beta = x\n"),
+        (["oplocal"], "profile = equispaced\n"),
+    ], ids=["N-ten", "beta-x", "profile-key"])
+    def test_bad_config_value_is_validation_error(self, tmp_path, capsys, argv, content):
+        # a config value goes through its flag's type, and profile is no option
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(content, encoding="utf-8")
+        out = tmp_path / "c.json"
+        assert main([*argv, "--config", str(cfg), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert content.split()[0] in err and not out.exists()
 
     @pytest.mark.parametrize("key", ["sed", "threads"])
     def test_unknown_config_key_is_validation_error(self, tmp_path, capsys, key):
@@ -292,7 +306,7 @@ class TestCli:
     def test_oplocal_small_profile(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "op.json"
-        code = main(["oplocal", "--profile", "equispaced", "--n", "8", "--B", "1.5",
+        code = main(["oplocal", "--n", "8", "--B", "1.5",
                      "--scan-points", "5", "-o", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
@@ -304,7 +318,7 @@ class TestCli:
 
     def test_equilibrium_small_profile(self, tmp_path):
         out = tmp_path / "eq.json"
-        code = main(["equilibrium", "--profile", "equispaced", "--n", "16", "--B", "2",
+        code = main(["equilibrium", "--n", "16", "--B", "2",
                      "--J-half-width", "0.7", "-o", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
@@ -339,3 +353,98 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["x2_moment"] == pytest.approx(1.0, abs=1e-6)
         assert payload["log_energy"] == pytest.approx(-0.25, abs=1e-6)
+
+
+# Each subcommand's option defaults. A minimal invocation must resolve to
+# exactly these values and types, so that no default moves silently.
+DEFAULTS = [
+    (["sample", "--N", "5", "--samples", "1", "-o", "a.csv"],
+     {"kind": "gue", "seed": 0, "beta": 0.5, "entry_law": "gaussian", "evolve_t": 0.0, "label": None}),
+    (["evolve", "--N", "5", "--samples", "1", "--t", "0.1", "-o", "a.csv"],
+     {"kind": "wigner", "seed": 0, "beta": 0.5, "entry_law": "gaussian", "label": None}),
+    (["semicircle", "--archive", "a.csv"],
+     {"eta_star": 0.01, "density_tol": 0.05, "count_tol": 0.02, "out": "semicircle.json"}),
+    (["rigidity", "--archive", "a.csv"], {"kappa": 0.1, "location_tol": 0.05, "out": "rigidity.json"}),
+    (["window", "--archive", "a.csv", "--L", "3", "--n", "3"],
+     {"B": 2.0, "sample_index": 0, "out": "window.json"}),
+    (["oplocal"],
+     {"B": 2.0, "root_cap": 2000, "energy": 0.0, "scan_points": 21, "sample_index": 0,
+      "out": "oplocal.json", "recurrence_csv": "recurrence.csv", "kernel_csv": "kernel_scan.csv"}),
+    (["equilibrium"],
+     {"B": 2.0, "root_cap": 2000, "J_half_width": 0.8, "sample_index": 0, "out": "equilibrium.json"}),
+    (["sine", "--archive", "a.csv"], {"E0": 0.0, "delta": 0.2, "radius": 3.0, "out": "sine.json"}),
+    (["repulsion", "--archive", "a.csv"],
+     {"E": 0.0, "eps_grid": "0.9,1.3,1.9,2.6", "wegner_eps": "0.5,1.0,2.0", "K_grid": "1,2,4,8",
+      "out": "repulsion.json", "curve_csv": "repulsion_curve.csv"}),
+    (["vandermonde", "--N", "5"], {"samples": 20, "seed": 0, "eta": None, "out": "vandermonde.json"}),
+    (["report"], {"dir": ".", "out": "report.json"}),
+]
+
+
+@pytest.fixture(scope="module")
+def two_row_archive(tmp_path_factory):
+    path = tmp_path_factory.mktemp("two") / "a.csv"
+    save_archive(generate_archive("gue", 20, 2, 0), str(path))
+    return path
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv, table", DEFAULTS, ids=[a[0] for a, _ in DEFAULTS])
+    def test_defaults_survive(self, argv, table):
+        args = cli.parse_args(argv)
+        resolved = {k: getattr(args, k) for k in table}
+        assert resolved == table
+        assert all(type(resolved[k]) is type(v) for k, v in table.items())
+        if argv[0] in ("oplocal", "equilibrium"):  # --n is 64 without --archive
+            assert cli._weight(args).n == 64
+
+    @pytest.mark.parametrize("command", ["window", "oplocal", "equilibrium"])
+    @pytest.mark.parametrize("index", ["2", "5", "-1"])
+    def test_sample_index_out_of_range(self, tmp_path, capsys, two_row_archive, command, index):
+        out = tmp_path / "w.json"
+        assert main([command, "--archive", str(two_row_archive), "--L", "3", "--n", "3",
+                     "--sample-index", index, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --sample-index {index} is outside 0..1\n"
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(index=st.integers())
+    def test_window_any_sample_index_fails_closed(self, tmp_path_factory, two_row_archive, index):
+        out = tmp_path_factory.mktemp("win") / "w.json"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["window", "--archive", str(two_row_archive), "--L", "3", "--n", "3",
+                         "--sample-index", str(index), "-o", str(out)])
+        assert code == (0 if 0 <= index < 2 else 1)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    def test_manifest_records_resolved_config(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert main(["sample", "--kind", "wigner", "--N", "20", "--samples", "2", "-o", str(out)]) == 0
+        config = json.loads((tmp_path / "w.csv.manifest.json").read_text())["config"]
+        assert config["seed"] == 0 and config["beta"] == 0.5 and config["entry_law"] == "gaussian"
+        dests = vars(cli.parse_args(["sample", "--N", "1", "--samples", "1", "-o", "x"]))
+        assert set(config) == set(dests) - {"config"}
+        # the recorded config, written back as a config file, reproduces the archive
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items() if v is not None and k != "command"),
+                       encoding="utf-8")
+        again = tmp_path / "again.csv"
+        assert main(["sample", "--config", str(cfg), "-o", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+        replay = json.loads((tmp_path / "again.csv.manifest.json").read_text())["config"]
+        assert replay == {**config, "out": str(again)}
+
+    def test_manifest_environment_keys(self, tmp_path):
+        out = tmp_path / "a.csv"
+        assert main(["sample", "--N", "5", "--samples", "1", "-o", str(out)]) == 0
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert set(manifest) == {"command", "config", "environment", "code_version", "wall_time_s",
+                                 "seed_scheme", "outputs"}
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count", "thread_variables"}
+        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["thread_variables"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["numpy"] == np.__version__
