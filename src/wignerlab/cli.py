@@ -64,13 +64,13 @@ def _digest(path):
     return h.hexdigest()
 
 
-def _write_manifest(command, args, outputs, started):
+def _write_manifest(args, outputs, started):
     # The environment scopes the archive bytes, whose last bits depend on the
     # BLAS build and its thread count.
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "config"},
         "environment": {
             "python": platform.python_version(),
@@ -94,7 +94,7 @@ def _emit(args, started, payload, outputs, echo=None):
     outputs, then print echo (by default the payload itself)."""
     with open(outputs[0], "w") as fh:
         json.dump(payload, fh, indent=2)
-    _write_manifest(args.command, args, outputs, started)
+    _write_manifest(args, outputs, started)
     print(json.dumps(payload, indent=2) if echo is None else echo)
 
 
@@ -120,7 +120,7 @@ def cmd_sample(args, started):
     arc = generate_archive(args.kind, args.N, args.samples, args.seed, beta_exponent=args.beta,
                            entry_law=args.entry_law, evolve_time=evolve_time, label=args.label)
     save_archive(arc, args.out)
-    _write_manifest("sample", args, [args.out], started)
+    _write_manifest(args, [args.out], started)
     print(f"wrote {arc.samples} spectra of size {arc.N} to {args.out}")
 
 
@@ -175,47 +175,47 @@ def cmd_window(args, started):
 def _weight(args):
     if args.archive is not None:
         win = _window(args, load_archive(args.archive))
-        return lw.weight_from_window(lw.rescale(win, args.B))
+        return lw.weight_from_window(lw.rescale(win, args.B, root_cap=args.root_cap))
     # The one flag-dependent default: --n is 64 for the equispaced weight and
     # required with --archive. `is None`, so an explicit --n 0 is kept.
     n = 64 if args.n is None else args.n
     return lw.equispaced_weight(n, B=args.B, root_cap=args.root_cap)
 
 
-def _quadrature_and_recurrence(weight):
-    """The weight's Gauss rule and its recurrence through degree n + 1."""
+def _recurrence(weight):
+    """The weight's recurrence through degree n + 1, on its own Gauss rule."""
     quad = op.build_quadrature(weight, weight.n + 1, margin=64)
-    return quad, op.stieltjes_recurrence(weight, quad, weight.n + 1)
+    return op.stieltjes_recurrence(weight, quad, weight.n + 1)
 
 
 def cmd_oplocal(args, started):
     weight = _weight(args)
     n = weight.n
-    quad, rec = _quadrature_and_recurrence(weight)
+    rec = _recurrence(weight)
     with open(args.recurrence_csv, "w") as fh:
         fh.write("j,alpha_j,beta_j\n")
         for j in range(rec.max_degree):
             fh.write(f"{j},{rec.alpha[j]:.17g},{rec.beta[j]:.17g}\n")
-    rho = op.density(rec, weight, n, args.energy)
+    rho = op.density(rec, n, args.energy)
     offsets = np.linspace(-1.5, 1.5, args.scan_points)
     pts = args.energy + offsets / (n * rho)
-    kmat = op.kernel_matrix(rec, weight, n, pts)
-    dens = op.density(rec, weight, n, pts)
+    kmat = op.kernel_matrix(rec, n, pts)
+    dens = op.density(rec, n, pts)
     with open(args.kernel_csv, "w") as fh:
         fh.write("x,y,K_n,rho_n\n")
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 fh.write(f"{x:.17g},{y:.17g},{kmat[i, j]:.17g},{dens[i]:.17g}\n")
-    max_dev = un.kernel_limit_scan(rec, weight, n, args.energy, rho, offsets)
-    table = op._psi_table(rec, weight, n - 1, quad.nodes)
-    gram = (table * quad.weights) @ table.T
+    max_dev = un.kernel_limit_scan(rec, n, args.energy, rho, offsets)
+    table = op._psi_table(rec, n - 1, rec.quad.nodes)
+    gram = (table * rec.quad.weights) @ table.T
     payload = {
         "n": n,
         "roots": int(len(weight.roots)),
         "density_at_E": rho,
         "kernel_scan_max_dev": max_dev,
         "gram_residual": float(np.max(np.abs(gram - np.eye(n)))),
-        "kernel_trace": float(np.sum(quad.weights * np.sum(table * table, axis=0))),
+        "kernel_trace": float(np.sum(rec.quad.weights * np.sum(table * table, axis=0))),
     }
     _emit(args, started, payload, [args.out, args.recurrence_csv, args.kernel_csv])
 
@@ -223,8 +223,7 @@ def cmd_oplocal(args, started):
 def cmd_equilibrium(args, started):
     weight = _weight(args)
     support = eqm.solve_endpoints(weight)
-    _, rec = _quadrature_and_recurrence(weight)
-    report = eqm.levin_lubinsky_report(support, rec, weight, (-args.J_half_width, args.J_half_width))
+    report = eqm.levin_lubinsky_report(support, _recurrence(weight), (-args.J_half_width, args.J_half_width))
     _emit(args, started, report, [args.out])
 
 
@@ -413,7 +412,7 @@ def build_parser():
         ("--sample-index", dict(type=int, default=0, help="archive row, 0 to samples-1")),
     ]
     add("window", "extract and dump a window decomposition", *window_flags, required=("archive",))
-    root_cap = ("--root-cap", dict(type=int, default=lw.DEFAULT_ROOT_CAP, help="equispaced roots per side"))
+    root_cap = ("--root-cap", dict(type=int, default=lw.DEFAULT_ROOT_CAP, help="retained weight roots per side"))
     add("oplocal", "orthogonal-polynomial diagnostics for a window weight",
         *window_flags,
         root_cap,
@@ -443,7 +442,6 @@ def build_parser():
         N,
         ("--samples", dict(type=int, default=20, help="sample count without --archive")),
         seed,
-        label,
         archive,
         ("--eta", dict(type=float, help="regularization scale")))
     add("report", "merge emitted JSON reports", ("--dir", dict(default=".", help="directory of the reports")))

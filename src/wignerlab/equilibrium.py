@@ -194,9 +194,9 @@ def equilibrium_mass(pot, support, m=400, outer=200):
     return float(np.sum(g * r * np.sin(theta)) * math.pi / outer)
 
 
-def levin_lubinsky_report(support, rec, weight, J, grid_points=41):
+def levin_lubinsky_report(support, rec, J, grid_points=41):
     """Desk-scale report of the four local-universality conditions on J for
-    the point-charge potential of ``weight``.
+    the point-charge potential of the recurrence's weight.
 
     (a) min/max of the equilibrium density g on a J-covering grid;
     (b) modulus of continuity of Q' = V'/2 at grid resolution;
@@ -208,15 +208,15 @@ def levin_lubinsky_report(support, rec, weight, J, grid_points=41):
     if not (a < j_lo < j_hi < b):
         raise ValueError("J must be interior to the support")
     grid = np.linspace(j_lo, j_hi, grid_points)
-    g = np.array([equilibrium_density(weight, support, x) for x in grid])
-    qprime = weight.potential_derivative(grid) / 2.0
+    g = np.array([equilibrium_density(rec.weight, support, x) for x in grid])
+    qprime = rec.weight.potential_derivative(grid) / 2.0
     modulus = float(np.max(np.abs(np.diff(qprime)))) if len(grid) > 1 else 0.0
-    n = weight.n
-    rho = op_density(rec, weight, n, grid)
+    n = rec.weight.n
+    rho = op_density(rec, n, grid)
     offsets = np.linspace(-3.0, 3.0, 13)
     shifted = grid[:, None] + offsets[None, :] / n
     shifted = np.clip(shifted, -1.0, 1.0)
-    rho_shift = op_density(rec, weight, n, shifted.ravel()).reshape(shifted.shape)
+    rho_shift = op_density(rec, n, shifted.ravel()).reshape(shifted.shape)
     cond_d = float(np.max(np.abs(rho[:, None] / rho_shift - 1.0)))
     return {
         "a": float(support.a),

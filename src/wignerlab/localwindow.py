@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .orthopoly import gauss_legendre
 from .spectral import require_spectrum, semicircle_density
 
 DEFAULT_ROOT_CAP = 2000  # per side; weight degree drives quadrature cost
@@ -167,6 +168,8 @@ def weight_from_window(rescaled):
 def equispaced_weight(n, B=2.0, rho0=0.5, root_cap=DEFAULT_ROOT_CAP):
     """Synthetic external profile: roots at +-(1 + j/(n rho0)) out to the
     |k| < n^B cutoff, the idealized flat-density configuration."""
+    if n < 1:
+        raise ValueError("window size must be positive")
     count = int(n**B) - 1
     if root_cap is not None:
         count = min(count, root_cap)
@@ -238,12 +241,11 @@ def assumption_checks(rescaled, density_fn, A=3.0, quad_points=2000):
     else:
         inv_sum = 0.0
     delta = float(n) ** (-A)
-    xs, ws = np.polynomial.legendre.leggauss(quad_points)
     a, b = -1.0 + delta, 1.0 - delta
-    xs = (b - a) / 2.0 * xs + (b + a) / 2.0
-    ws = (b - a) / 2.0 * ws
+    rule = gauss_legendre(quad_points, half_width=(b - a) / 2.0)  # a == -b
+    xs = rule.nodes
     vals = np.asarray([density_fn(x) for x in xs], dtype=float)
-    edge_integral = float(np.sum(ws * ((xs + 1.0) ** -2.0 + (1.0 - xs) ** -2.0) * vals))
+    edge_integral = float(np.sum(rule.weights * ((xs + 1.0) ** -2.0 + (1.0 - xs) ** -2.0) * vals))
     gamma = 0.1
     return {
         "inverse_distance_sum": inv_sum,

@@ -5,8 +5,10 @@ consistency identities that tie them together.
 
 The weight is a polynomial, so every inner product is computed with an
 exact-degree Gauss-Legendre rule; orthonormality residuals are then
-rounding-limited. Weight values always enter through exp(log-sum) with the
-WeightSpec's additive normalizer, which cancels in all orthonormal
+rounding-limited. ``gauss_legendre`` builds every Gauss-Legendre rule of the
+package; a ``Recurrence`` carries its weight and rule, so the diagnostics
+take the recurrence alone. Weight values always enter through exp(log-sum)
+with the WeightSpec's additive normalizer, which cancels in all orthonormal
 quantities. Polynomial recurrences run directly on the weighted functions
 psi_j = p_j sqrt(w), which stay O(1) where p_j alone would overflow.
 """
@@ -18,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "Quadrature",
+    "gauss_legendre",
     "build_quadrature",
     "Recurrence",
     "stieltjes_recurrence",
@@ -36,11 +39,20 @@ NEAR_DIAGONAL = 1e-6  # |x - y| below this switches the kernel to the direct sum
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Gauss-Legendre rule on [-1, 1], exact through ``exact_degree``."""
+    """Gauss-Legendre rule, exact for polynomials through ``exact_degree``."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    exact_degree: int
+
+    @property
+    def exact_degree(self):
+        return 2 * len(self.nodes) - 1
+
+
+def gauss_legendre(count, half_width=1.0):
+    """``count``-node Gauss-Legendre rule on [-half_width, half_width]."""
+    nodes, wts = np.polynomial.legendre.leggauss(count)
+    return Quadrature(nodes=half_width * nodes, weights=half_width * wts)
 
 
 def build_quadrature(weight, order, margin=8):
@@ -51,8 +63,7 @@ def build_quadrature(weight, order, margin=8):
     """
     m = len(weight.roots)
     count = (2 * m + 2 * order) // 2 + 1 + margin
-    nodes, wts = np.polynomial.legendre.leggauss(count)
-    return Quadrature(nodes=nodes, weights=wts, exact_degree=2 * count - 1)
+    return gauss_legendre(count)
 
 
 @dataclass(frozen=True)
@@ -61,24 +72,24 @@ class Recurrence:
 
     ``alpha[j]`` is the diagonal coefficient a_j and ``beta[j]`` the
     off-diagonal b_(j+1) coupling degrees j and j+1, so that
-    x p_j = beta[j] p_(j+1) + alpha[j] p_j + beta[j-1] p_(j-1).
-    ``mass`` is the square root of the total weight integral (p_0 = 1/mass).
+    x p_j = beta[j] p_(j+1) + alpha[j] p_j + beta[j-1] p_(j-1). ``mass`` is
+    the square root of the total weight integral (p_0 = 1/mass) for
+    ``weight``, on the rule ``quad`` that the diagnostics integrate with.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     mass: float
-    max_degree: int
+    weight: object
+    quad: Quadrature
 
     def __post_init__(self):
         if np.any(self.beta <= 0):
             raise ValueError("off-diagonal recurrence coefficients must be positive")
 
-
-def _normalized_weights(weight, quad):
-    """Quadrature weights times the normalized polynomial weight."""
-    logw = weight.log_weight(quad.nodes) - weight.log_shift
-    return quad.weights * np.exp(logw)
+    @property
+    def max_degree(self):
+        return len(self.alpha)
 
 
 def stieltjes_recurrence(weight, quad, max_degree):
@@ -91,7 +102,7 @@ def stieltjes_recurrence(weight, quad, max_degree):
     if quad.exact_degree < 2 * len(weight.roots) + 2 * max_degree:
         raise ValueError("quadrature not exact for the needed moments")
     x = quad.nodes
-    wts = _normalized_weights(weight, quad)
+    wts = quad.weights * np.exp(weight.log_weight(x) - weight.log_shift)  # normalized weight
     mass_sq = float(np.sum(wts))
     if not mass_sq > 0:
         raise FloatingPointError("weight underflowed on the quadrature nodes")
@@ -112,7 +123,7 @@ def stieltjes_recurrence(weight, quad, max_degree):
         beta[j] = b
         p_prev, p = p, q / b
         b_prev = b
-    return Recurrence(alpha=alpha, beta=beta, mass=mass, max_degree=max_degree)
+    return Recurrence(alpha=alpha, beta=beta, mass=mass, weight=weight, quad=quad)
 
 
 def recurrence_node_doubling_gap(weight, max_degree):
@@ -124,7 +135,7 @@ def recurrence_node_doubling_gap(weight, max_degree):
     return float(np.max(np.abs(r1.alpha - r2.alpha)) + np.max(np.abs(r1.beta - r2.beta)))
 
 
-def _psi_table(rec, weight, degree, x):
+def _psi_table(rec, degree, x):
     """psi_0..psi_degree at points x, shape (degree + 1, len(x)).
 
     Runs the three-term recurrence directly on psi_j = p_j sqrt(w)
@@ -134,7 +145,7 @@ def _psi_table(rec, weight, degree, x):
     if degree > rec.max_degree:
         raise ValueError("degree exceeds the built recurrence")
     with np.errstate(over="ignore"):
-        sqw = np.exp(0.5 * (np.asarray(weight.log_weight(x)) - weight.log_shift))
+        sqw = np.exp(0.5 * (np.asarray(rec.weight.log_weight(x)) - rec.weight.log_shift))
     table = np.empty((degree + 1, len(x)))
     table[0] = sqw / rec.mass
     if degree >= 1:
@@ -144,21 +155,21 @@ def _psi_table(rec, weight, degree, x):
     return table
 
 
-def eval_psi(rec, weight, j, x):
+def eval_psi(rec, j, x):
     """Weighted orthonormal function psi_j(x) = p_j(x) exp(-n U(x) / 2)."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x_arr) > 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
-    vals = _psi_table(rec, weight, j, x_arr)[j]
+    vals = _psi_table(rec, j, x_arr)[j]
     return vals if np.ndim(x) else float(vals[0])
 
 
-def kernel_matrix(rec, weight, n, xs, ys=None):
+def kernel_matrix(rec, n, xs, ys=None):
     """K_n on a grid; CD form off the diagonal band, direct sum on it."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = xs if ys is None else np.atleast_1d(np.asarray(ys, dtype=float))
-    tx = _psi_table(rec, weight, n, xs)
-    ty = tx if ys is xs else _psi_table(rec, weight, n, ys)
+    tx = _psi_table(rec, n, xs)
+    ty = tx if ys is xs else _psi_table(rec, n, ys)
     dx = xs[:, None] - ys[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         num = rec.beta[n - 1] * (np.outer(tx[n], ty[n - 1]) - np.outer(tx[n - 1], ty[n]))
@@ -170,15 +181,15 @@ def kernel_matrix(rec, weight, n, xs, ys=None):
     return out
 
 
-def density(rec, weight, n, x):
+def density(rec, n, x):
     """One-point density rho_n(x) = n^-1 K_n(x, x)."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    table = _psi_table(rec, weight, n - 1, x_arr)
+    table = _psi_table(rec, n - 1, x_arr)
     vals = np.sum(table * table, axis=0) / n
     return vals if np.ndim(x) else float(vals[0])
 
 
-def correlation(rec, weight, n, points):
+def correlation(rec, n, points):
     """ell-point correlation ((n-ell)!/n!) det[K_n(x_i, x_j)].
 
     Repeated points give 0 (the determinant vanishes); that value is
@@ -188,12 +199,12 @@ def correlation(rec, weight, n, points):
     ell = len(pts)
     if ell > n:
         raise ValueError("correlation order exceeds the kernel order")
-    k = kernel_matrix(rec, weight, n, pts)
+    k = kernel_matrix(rec, n, pts)
     pref = math.exp(math.lgamma(n - ell + 1) - math.lgamma(n + 1))
     return float(pref * np.linalg.det(k))
 
 
-def density_derivative(rec, weight, n, x, quad=None):
+def density_derivative(rec, n, x):
     """Derivative of the density through the kernel identity.
 
     rho_n'(x) = int [U'(z) - U'(x)] K_n(x, z)^2 dz
@@ -203,14 +214,13 @@ def density_derivative(rec, weight, n, x, quad=None):
     at +-1 kill the kernel there) and restores exactness for weights that do
     not vanish at the endpoints.
     """
+    weight, quad = rec.weight, rec.quad
     if abs(x) >= 1.0 - 1e-8:
         raise ValueError("x too close to the interval endpoints")
     if weight.roots.size and np.min(np.abs(x - weight.roots)) == 0.0:
         raise ValueError("x coincides with a weight root")
-    if quad is None:
-        quad = build_quadrature(weight, n, margin=64)
     z = quad.nodes
-    row = kernel_matrix(rec, weight, n, np.array([x]), np.append(z, [1.0, -1.0]))[0]
+    row = kernel_matrix(rec, n, np.array([x]), np.append(z, [1.0, -1.0]))[0]
     krow, k_hi, k_lo = row[:-2], row[-2], row[-1]
     if weight.roots.size:
         # U'(z) - U'(x) = -(2/n) sum_k (x - z)/((x - y_k)(z - y_k))
@@ -224,22 +234,21 @@ def density_derivative(rec, weight, n, x, quad=None):
     return integral + float(k_hi**2 - k_lo**2) / n
 
 
-def stieltjes_identity_residual(rec, weight, n, z, quad=None):
+def stieltjes_identity_residual(rec, n, z):
     """|m_n(z)^2 + int U'(x) rho_n(x)/(x - z) dx| at z = u + i eta, eta > 0."""
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("z must have positive imaginary part")
-    if quad is None:
-        quad = build_quadrature(weight, n, margin=64)
+    quad = rec.quad
     xs = quad.nodes
-    rho = density(rec, weight, n, xs)
+    rho = density(rec, n, xs)
     m = np.sum(quad.weights * rho / (xs - z))
-    vprime = weight.potential_derivative(xs)
+    vprime = rec.weight.potential_derivative(xs)
     t = np.sum(quad.weights * vprime * rho / (xs - z))
     return float(abs(m * m + t))
 
 
-def derivative_norm_checks(rec, weight, n, quad=None):
+def derivative_norm_checks(rec, n):
     """Quadrature values of the two derivative norms of psi_(n-1).
 
     Returns (op73, op51): the weighted inverse-distance norm
@@ -247,12 +256,11 @@ def derivative_norm_checks(rec, weight, n, quad=None):
     int (psi')^2 dx, to be read against n^(6 gamma) and n^(2 + 6 gamma)
     reference scalings.
     """
-    if quad is None:
-        quad = build_quadrature(weight, n, margin=64)
+    weight, quad = rec.weight, rec.quad
     xs = quad.nodes
     # psi_j from the table; the derivatives p_j' sqrt(w) follow their own
     # recurrence, then psi' = p_(n-1)' sqrt(w) - (n/2) U' psi
-    table = _psi_table(rec, weight, n - 1, xs)
+    table = _psi_table(rec, n - 1, xs)
     dot_prev = dot = np.zeros_like(xs)
     for j in range(n - 1):
         b_prev = rec.beta[j - 1] if j > 0 else 0.0

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .ensemble import log_vandermonde
-from .orthopoly import kernel_matrix
+from .orthopoly import gauss_legendre, kernel_matrix
 from .spectral import require_spectrum, semicircle_cdf_inverse, semicircle_density
 
 __all__ = [
@@ -77,10 +77,8 @@ def _bump(u, radius):
 
 def bump_observable(radius=3.0):
     """Smooth compactly supported bump pair; h normalized to unit integral."""
-    xs, ws = np.polynomial.legendre.leggauss(400)
-    xs = radius * xs
-    ws = radius * ws
-    norm = float(np.sum(ws * _bump(xs, radius)))
+    rule = gauss_legendre(400, half_width=radius)
+    norm = float(np.sum(rule.weights * _bump(rule.nodes, radius)))
     return Observable(
         g=lambda u, r=radius: _bump(u, r),
         h=lambda u, r=radius, c=norm: _bump(u, r) / c,
@@ -100,11 +98,9 @@ class CorrelationEstimate:
 
 def sine_kernel_reference(obs, quad_points=400):
     """int g(u) [1 - sinc^2(u)] du for the estimator comparison."""
-    r = obs.support_radius
-    xs, ws = np.polynomial.legendre.leggauss(quad_points)
-    xs = r * xs
-    ws = r * ws
-    return float(np.sum(ws * np.asarray(obs.g(xs)) * gap_complement(xs)))
+    rule = gauss_legendre(quad_points, half_width=obs.support_radius)
+    xs = rule.nodes
+    return float(np.sum(rule.weights * np.asarray(obs.g(xs)) * gap_complement(xs)))
 
 
 def two_point_estimator(archive, E0, delta, obs, energy_nodes=33):
@@ -127,9 +123,9 @@ def two_point_estimator(archive, E0, delta, obs, energy_nodes=33):
     if abs(E0) + delta >= 2.0:
         raise ValueError("energy window reaches the spectral edge")
     R = obs.support_radius
-    xs, ws = np.polynomial.legendre.leggauss(energy_nodes)
-    e_nodes = E0 + delta * xs
-    e_weights = ws / 2.0  # (2 delta)^-1 times the GL weights delta * ws
+    unit = gauss_legendre(energy_nodes)
+    e_nodes = E0 + delta * unit.nodes
+    e_weights = unit.weights / 2.0  # (2 delta)^-1 times the mapped weights delta * w
     margin = 2.0 * R / (N * rho)
     lo, hi = e_nodes[0] - margin, e_nodes[-1] + margin
 
@@ -161,7 +157,7 @@ def two_point_estimator(archive, E0, delta, obs, energy_nodes=33):
     )
 
 
-def kernel_limit_scan(rec, weight, n, E, rho_n_E, grid, max_separation=3.0):
+def kernel_limit_scan(rec, n, E, rho_n_E, grid, max_separation=3.0):
     """Worst deviation of the rescaled kernel from the sine kernel.
 
     max over offset pairs (a, b) in the grid (restricted to
@@ -172,7 +168,7 @@ def kernel_limit_scan(rec, weight, n, E, rho_n_E, grid, max_separation=3.0):
     pts = E + grid / (n * rho_n_E)
     if np.any(np.abs(pts) > 1.0):
         raise ValueError("scan leaves the weight's interval")
-    scaled = kernel_matrix(rec, weight, n, pts) / (n * rho_n_E)
+    scaled = kernel_matrix(rec, n, pts) / (n * rho_n_E)
     seps = grid[:, None] - grid[None, :]
     ref = sine_kernel(seps)
     dev = np.abs(scaled - ref)
@@ -187,10 +183,6 @@ class RepulsionCurve:
     hits: np.ndarray
     fitted_exponent: float
     exponent_stderr: float
-
-    @property
-    def confidence_interval(self):
-        return (self.fitted_exponent - 2 * self.exponent_stderr, self.fitted_exponent + 2 * self.exponent_stderr)
 
 
 def _interval_counts(data, E, eps):
@@ -284,10 +276,9 @@ def semicircle_constants_check():
     and (1/2) x2_moment - log_energy.
     """
     # second moment via the smooth x = 2 sin(theta) substitution
-    xs, ws = np.polynomial.legendre.leggauss(200)
-    theta = math.pi / 2.0 * xs
-    wt = math.pi / 2.0 * ws
-    x2 = float(np.sum(wt * (2.0 * np.sin(theta)) ** 2 * (2.0 / math.pi) * np.cos(theta) ** 2))
+    rule = gauss_legendre(200, half_width=math.pi / 2.0)
+    theta = rule.nodes
+    x2 = float(np.sum(rule.weights * (2.0 * np.sin(theta)) ** 2 * (2.0 / math.pi) * np.cos(theta) ** 2))
 
     def inner(x):
         val, _ = quad(

@@ -99,15 +99,15 @@ def test_criterion_06_orthopoly_core():
     weight = lw.equispaced_weight(128, B=2.0)
     quad = op.build_quadrature(weight, 129, margin=64)
     rec = op.stieltjes_recurrence(weight, quad, 129)
-    table = op._psi_table(rec, weight, 128, quad.nodes)
+    table = op._psi_table(rec, 128, quad.nodes)
     gram = (table * quad.weights) @ table.T
     gram_err = float(np.max(np.abs(gram - np.eye(129))))
     trace = float(np.sum(quad.weights * np.sum(table[:128] ** 2, axis=0)))
 
     xs = np.linspace(-0.9, 0.9, 20)
-    left = op.kernel_matrix(rec, weight, 128, xs, quad.nodes)
-    composed = (left * quad.weights) @ op.kernel_matrix(rec, weight, 128, quad.nodes, xs)
-    repro_err = float(np.max(np.abs(composed - op.kernel_matrix(rec, weight, 128, xs, xs))))
+    left = op.kernel_matrix(rec, 128, xs, quad.nodes)
+    composed = (left * quad.weights) @ op.kernel_matrix(rec, 128, quad.nodes, xs)
+    repro_err = float(np.max(np.abs(composed - op.kernel_matrix(rec, 128, xs, xs))))
 
     ok = legendre_err <= 1e-12 and gram_err <= 1e-8 and repro_err <= 1e-6 and abs(trace - 128) <= 1e-8
     _line(6, ok, f"legendre {legendre_err:.2e} (<=1e-12), gram {gram_err:.2e} (<=1e-8), "
@@ -128,8 +128,8 @@ def test_criterion_07_local_sine_kernel():
     weight = lw.equispaced_weight(n, B=2.0)
     quad = op.build_quadrature(weight, n + 1, margin=64)
     rec = op.stieltjes_recurrence(weight, quad, n + 1)
-    rho = op.density(rec, weight, n, 0.0)
-    dev = un.kernel_limit_scan(rec, weight, n, 0.0, rho, offsets)
+    rho = op.density(rec, n, 0.0)
+    dev = un.kernel_limit_scan(rec, n, 0.0, rho, offsets)
     ok = dev <= 0.05 and oracle_dev <= 0.03
     _line(7, ok, f"varying-weight scan dev {dev:.4f} (<= 0.05); "
                  f"Hermite oracle dev {oracle_dev:.4f} (<= 0.03)")
@@ -211,7 +211,7 @@ def test_criterion_11_stieltjes_identity_scaling():
         quad = op.build_quadrature(weight, n + 1, margin=200)
         rec = op.stieltjes_recurrence(weight, quad, n + 1)
         for eta in etas:
-            res = op.stieltjes_identity_residual(rec, weight, n, 0.1 + 1j * eta, quad)
+            res = op.stieltjes_identity_residual(rec, n, 0.1 + 1j * eta)
             rows.append((math.log(n), math.log(eta), math.log(res)))
     a = np.array(rows)
     design = np.column_stack([a[:, 0], a[:, 1], np.ones(len(a))])

@@ -276,6 +276,12 @@ class TestCli:
                      "-o", str(out)]) == 0
         assert load_archive(str(out)).samples == 2
 
+    def test_evolve_manifest_names_evolve(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--N", "10", "--samples", "1", "--t", "0.1", "-o", str(out)]) == 0
+        manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+        assert manifest["command"] == manifest["config"]["command"] == "evolve"
+
     def test_semicircle_and_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         arc = tmp_path / "a.csv"
@@ -325,6 +331,24 @@ class TestCli:
         assert set(payload) == {"a", "b", "residuals", "ll_conditions"}
         assert set(payload["ll_conditions"]) == {"a", "b", "c", "d"}
 
+    @pytest.mark.parametrize("command", ["oplocal", "equilibrium"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_window_size_is_validation_error(self, tmp_path, monkeypatch, capsys, command, n):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: window size must be positive\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_root_cap_applies_to_archive_window(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        arc = tmp_path / "a.csv"
+        assert main(["sample", "--N", "40", "--samples", "1", "--seed", "2", "-o", str(arc)]) == 0
+        out = tmp_path / "op.json"
+        assert main(["oplocal", "--archive", str(arc), "--L", "15", "--n", "4", "--root-cap", "5",
+                     "--scan-points", "3", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["roots"] == 10
+
     def test_sine_command(self, tmp_path):
         arc = tmp_path / "a.csv"
         assert main(["sample", "--N", "200", "--samples", "40", "--seed", "8", "-o", str(arc)]) == 0
@@ -353,6 +377,11 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["x2_moment"] == pytest.approx(1.0, abs=1e-6)
         assert payload["log_energy"] == pytest.approx(-0.25, abs=1e-6)
+
+    def test_vandermonde_has_no_label(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        assert main(["vandermonde", "--N", "10", "--label", "x", "-o", str(out)]) == 1
+        assert "--label" in capsys.readouterr().err and not out.exists()
 
 
 # Each subcommand's option defaults. A minimal invocation must resolve to

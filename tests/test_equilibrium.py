@@ -83,12 +83,12 @@ class TestLevinLubinskyReport:
         quad = op.build_quadrature(weight, 9)
         rec = op.stieltjes_recurrence(weight, quad, 9)
         support = eq.SupportInterval(a=-0.999, b=0.999, residuals=(0.0, 0.0))
-        report = eq.levin_lubinsky_report(support, rec, weight, (-0.8, 0.8))
+        report = eq.levin_lubinsky_report(support, rec, (-0.8, 0.8))
         assert report["ll_conditions"]["b"] == 0.0
 
     def test_equispaced_profile_conditions(self, equispaced64):
-        weight, support, rec = equispaced64
-        report = eq.levin_lubinsky_report(support, rec, weight, (-0.8, 0.8))
+        _, support, rec = equispaced64
+        report = eq.levin_lubinsky_report(support, rec, (-0.8, 0.8))
         cond = report["ll_conditions"]
         assert cond["d"] <= 0.1
         assert 0.3 <= cond["c"]["min"] <= cond["c"]["max"] <= 1.2
@@ -96,6 +96,6 @@ class TestLevinLubinskyReport:
         assert report["a"] < -0.9 and report["b"] > 0.9
 
     def test_interior_interval_required(self, equispaced64):
-        weight, support, rec = equispaced64
+        _, support, rec = equispaced64
         with pytest.raises(ValueError):
-            eq.levin_lubinsky_report(support, rec, weight, (-1.5, 0.5))
+            eq.levin_lubinsky_report(support, rec, (-1.5, 0.5))

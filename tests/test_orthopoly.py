@@ -12,16 +12,14 @@ from wignerlab import orthopoly as op
 def legendre():
     weight = lw.WeightSpec(n=16, roots=np.array([]))
     quad = op.build_quadrature(weight, 33)
-    rec = op.stieltjes_recurrence(weight, quad, 33)
-    return weight, quad, rec
+    return op.stieltjes_recurrence(weight, quad, 33)
 
 
 @pytest.fixture(scope="module")
 def pointcharge16():
     weight = lw.equispaced_weight(16, B=2.0)
     quad = op.build_quadrature(weight, 17, margin=64)
-    rec = op.stieltjes_recurrence(weight, quad, 17)
-    return weight, quad, rec
+    return op.stieltjes_recurrence(weight, quad, 17)
 
 
 class TestQuadrature:
@@ -63,6 +61,14 @@ class TestQuadrature:
         q2 = op.build_quadrature(w2, 4)
         assert len(q2.nodes) - len(q1.nodes) == len(w2.roots) - len(w1.roots)
 
+    def test_gauss_legendre_maps_onto_shifted_interval(self):
+        # 6 nodes on [-1.5, 1.5], shifted by 2, integrate x^k exactly on [0.5, 3.5] through k = 11
+        quad = op.gauss_legendre(6, half_width=1.5)
+        assert quad.exact_degree == 11
+        for k in range(12):
+            exact = (3.5 ** (k + 1) - 0.5 ** (k + 1)) / (k + 1)
+            assert float(np.sum(quad.weights * (2.0 + quad.nodes) ** k)) == pytest.approx(exact, rel=1e-13)
+
     def test_insufficient_rule_rejected(self):
         weight = lw.equispaced_weight(8, B=2.0)
         quad = op.build_quadrature(weight, 2)
@@ -72,10 +78,18 @@ class TestQuadrature:
 
 class TestRecurrence:
     def test_legendre_closed_form(self, legendre):
-        _, _, rec = legendre
+        rec = legendre
         j = np.arange(1, rec.max_degree + 1)
         assert np.max(np.abs(rec.beta**2 - j**2 / (4.0 * j**2 - 1.0))) < 1e-12
         assert np.max(np.abs(rec.alpha)) < 1e-12
+
+    def test_carries_its_rule(self):
+        weight = lw.equispaced_weight(16, B=2.0)
+        quad = op.build_quadrature(weight, 17, margin=64)
+        rec = op.stieltjes_recurrence(weight, quad, 17)
+        assert rec.weight is weight and rec.quad is quad
+        assert rec.max_degree == len(rec.alpha) == 17
+        assert quad.exact_degree == 2 * len(quad.nodes) - 1
 
     def test_interior_double_root_two_precisions(self):
         # w = x^2 on [-1, 1]: the same recurrence must emerge at double the
@@ -91,12 +105,13 @@ class TestRecurrence:
         assert np.max(np.abs(r1.alpha)) < 1e-12
 
     def test_symmetric_roots_zero_alpha(self, pointcharge16):
-        _, _, rec = pointcharge16
+        rec = pointcharge16
         assert np.max(np.abs(rec.alpha)) < 1e-10
 
     def test_gram_residual(self, pointcharge16):
-        weight, quad, rec = pointcharge16
-        table = op._psi_table(rec, weight, 16, quad.nodes)
+        rec = pointcharge16
+        quad = rec.quad
+        table = op._psi_table(rec, 16, quad.nodes)
         gram = (table * quad.weights) @ table.T
         assert np.max(np.abs(gram - np.eye(17))) < 1e-8
 
@@ -113,130 +128,134 @@ class TestRecurrence:
         r1 = op.stieltjes_recurrence(weight, q1, 11)
         r2 = op.stieltjes_recurrence(shifted, q1, 11)
         xs = np.linspace(-0.95, 0.95, 11)
-        a = op.eval_psi(r1, weight, 10, xs)
-        b = op.eval_psi(r2, shifted, 10, xs)
+        a = op.eval_psi(r1, 10, xs)
+        b = op.eval_psi(r2, 10, xs)
         assert np.max(np.abs(a - b)) < 1e-9 * np.max(np.abs(a))
 
 
 class TestPsi:
     def test_constant_for_unit_weight(self, legendre):
-        weight, _, rec = legendre
+        rec = legendre
         xs = np.linspace(-1, 1, 7)
-        assert np.allclose(op.eval_psi(rec, weight, 0, xs), 1.0 / math.sqrt(2.0), atol=1e-14)
+        assert np.allclose(op.eval_psi(rec, 0, xs), 1.0 / math.sqrt(2.0), atol=1e-14)
 
     def test_orthonormal_under_quadrature(self, pointcharge16):
-        weight, quad, rec = pointcharge16
+        rec = pointcharge16
+        quad = rec.quad
         for j, k in [(3, 3), (7, 7), (3, 7), (0, 11)]:
-            a = op.eval_psi(rec, weight, j, quad.nodes)
-            b = op.eval_psi(rec, weight, k, quad.nodes)
+            a = op.eval_psi(rec, j, quad.nodes)
+            b = op.eval_psi(rec, k, quad.nodes)
             val = float(np.sum(quad.weights * a * b))
             assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-8)
 
     def test_domain_check(self, pointcharge16):
-        weight, _, rec = pointcharge16
+        rec = pointcharge16
         with pytest.raises(ValueError):
-            op.eval_psi(rec, weight, 2, 1.2)
+            op.eval_psi(rec, 2, 1.2)
 
 
 class TestKernel:
     def test_reproducing_identity(self, pointcharge16):
-        weight, quad, rec = pointcharge16
+        rec = pointcharge16
+        quad = rec.quad
         n = 16
         xs = np.linspace(-0.9, 0.9, 20)
-        left = op.kernel_matrix(rec, weight, n, xs, quad.nodes)
-        composed = (left * quad.weights) @ op.kernel_matrix(rec, weight, n, quad.nodes, xs)
-        direct = op.kernel_matrix(rec, weight, n, xs, xs)
+        left = op.kernel_matrix(rec, n, xs, quad.nodes)
+        composed = (left * quad.weights) @ op.kernel_matrix(rec, n, quad.nodes, xs)
+        direct = op.kernel_matrix(rec, n, xs, xs)
         assert np.max(np.abs(composed - direct)) < 1e-6
 
     def test_trace_is_order(self, pointcharge16):
-        weight, quad, rec = pointcharge16
+        rec = pointcharge16
+        quad = rec.quad
         n = 16
-        diag = op.density(rec, weight, n, quad.nodes) * n
+        diag = op.density(rec, n, quad.nodes) * n
         assert float(np.sum(quad.weights * diag)) == pytest.approx(n, abs=1e-8)
 
     def test_cauchy_schwarz(self, pointcharge16):
-        weight, _, rec = pointcharge16
+        rec = pointcharge16
         rng = np.random.default_rng(0)
         for _ in range(25):
             x, y = rng.uniform(-0.99, 0.99, 2)
-            (kxx, kxy), (_, kyy) = op.kernel_matrix(rec, weight, 16, np.array([x, y]))
+            (kxx, kxy), (_, kyy) = op.kernel_matrix(rec, 16, np.array([x, y]))
             assert kxy**2 <= kxx * kyy * (1 + 1e-10)
 
     def test_crossover_band_agreement(self, pointcharge16):
-        weight, _, rec = pointcharge16
+        rec = pointcharge16
         x0 = 0.31
         for d in (2e-6, 5e-6, 2e-5):
-            cd = op.kernel_matrix(rec, weight, 16, np.array([x0]), np.array([x0 + d]))[0, 0]
-            t = op._psi_table(rec, weight, 15, np.array([x0, x0 + d]))
+            cd = op.kernel_matrix(rec, 16, np.array([x0]), np.array([x0 + d]))[0, 0]
+            t = op._psi_table(rec, 15, np.array([x0, x0 + d]))
             direct = float(np.sum(t[:, 0] * t[:, 1]))
             assert cd == pytest.approx(direct, rel=1e-6)
 
     def test_symmetry_and_positivity(self, pointcharge16):
-        weight, _, rec = pointcharge16
-        k = op.kernel_matrix(rec, weight, 16, np.array([0.2, -0.4]))
+        rec = pointcharge16
+        k = op.kernel_matrix(rec, 16, np.array([0.2, -0.4]))
         assert k[0, 1] == pytest.approx(k[1, 0], rel=1e-12)
         assert k[0, 0] >= 0
 
 
 class TestDensityAndCorrelation:
     def test_density_normalized(self, pointcharge16):
-        weight, quad, rec = pointcharge16
-        rho = op.density(rec, weight, 16, quad.nodes)
+        rec = pointcharge16
+        quad = rec.quad
+        rho = op.density(rec, 16, quad.nodes)
         assert float(np.sum(quad.weights * rho)) == pytest.approx(1.0, abs=1e-8)
         assert np.all(rho >= -1e-14)
 
     def test_one_point_correlation_is_density(self, pointcharge16):
-        weight, _, rec = pointcharge16
+        rec = pointcharge16
         x = 0.23
-        assert op.correlation(rec, weight, 16, [x]) == pytest.approx(
-            op.density(rec, weight, 16, x), rel=1e-12
+        assert op.correlation(rec, 16, [x]) == pytest.approx(
+            op.density(rec, 16, x), rel=1e-12
         )
 
     def test_two_point_bounds(self, pointcharge16):
-        weight, _, rec = pointcharge16
+        rec = pointcharge16
         n = 16
-        assert op.correlation(rec, weight, n, [0.3, 0.3]) == pytest.approx(0.0, abs=1e-12)
+        assert op.correlation(rec, n, [0.3, 0.3]) == pytest.approx(0.0, abs=1e-12)
         rng = np.random.default_rng(1)
         for _ in range(20):
             x, y = rng.uniform(-0.95, 0.95, 2)
-            p2 = op.correlation(rec, weight, n, [x, y])
-            bound = op.density(rec, weight, n, x) * op.density(rec, weight, n, y) * n / (n - 1)
+            p2 = op.correlation(rec, n, [x, y])
+            bound = op.density(rec, n, x) * op.density(rec, n, y) * n / (n - 1)
             assert -1e-12 <= p2 <= bound + 1e-12
 
     def test_order_exceeds_points_rejected(self, pointcharge16):
-        weight, _, rec = pointcharge16
+        rec = pointcharge16
         with pytest.raises(ValueError):
-            op.correlation(rec, weight, 2, [0.1, 0.2, 0.3])
+            op.correlation(rec, 2, [0.1, 0.2, 0.3])
 
     def test_top_weighted_polynomial_links_orders(self, pointcharge16):
         # psi_(n-1)^2 = n rho_n - (n-1) rho_(n-1)
-        weight, _, rec = pointcharge16
+        rec = pointcharge16
         xs = np.linspace(-0.9, 0.9, 9)
-        psi = op.eval_psi(rec, weight, 15, xs)
+        psi = op.eval_psi(rec, 15, xs)
         lhs = psi**2
-        rhs = 16 * op.density(rec, weight, 16, xs) - 15 * op.density(rec, weight, 15, xs)
+        rhs = 16 * op.density(rec, 16, xs) - 15 * op.density(rec, 15, xs)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 class TestDensityDerivative:
     def test_symmetric_weight_flat_at_zero(self, pointcharge16):
-        weight, quad, rec = pointcharge16
-        assert abs(op.density_derivative(rec, weight, 16, 0.0, quad)) < 1e-6
+        rec = pointcharge16
+        assert abs(op.density_derivative(rec, 16, 0.0)) < 1e-6
 
     def test_unit_weight_matches_finite_difference(self, legendre):
-        weight, quad, rec = legendre
+        rec = legendre
         for x in (0.3, -0.55):
-            formula = op.density_derivative(rec, weight, 16, x, quad)
+            formula = op.density_derivative(rec, 16, x)
             h = 1e-5
-            fd = (op.density(rec, weight, 16, x + h) - op.density(rec, weight, 16, x - h)) / (2 * h)
+            fd = (op.density(rec, 16, x + h) - op.density(rec, 16, x - h)) / (2 * h)
             assert formula == pytest.approx(fd, rel=1e-4)
 
     def test_pointcharge_matches_finite_difference(self, pointcharge16):
-        weight, quad, rec = pointcharge16
+        rec = pointcharge16
         for x in (0.3, -0.55):
-            formula = op.density_derivative(rec, weight, 16, x, quad)
+            formula = op.density_derivative(rec, 16, x)
             h = 1e-5
-            fd = (op.density(rec, weight, 16, x + h) - op.density(rec, weight, 16, x - h)) / (2 * h)
+            fd = (op.density(rec, 16, x + h) - op.density(rec, 16, x - h)) / (2 * h)
             assert formula == pytest.approx(fd, rel=1e-4)
 
     def test_desk_scale_flatness(self):
@@ -244,24 +263,24 @@ class TestDensityDerivative:
         quad = op.build_quadrature(weight, 65, margin=64)
         rec = op.stieltjes_recurrence(weight, quad, 65)
         xs = np.linspace(-0.8, 0.8, 33)
-        rho = op.density(rec, weight, 64, xs)
-        rho0 = op.density(rec, weight, 64, 0.0)
+        rho = op.density(rec, 64, xs)
+        rho0 = op.density(rec, 64, 0.0)
         assert np.max(np.abs(rho - rho0)) / rho0 <= 0.1
 
     def test_near_endpoint_rejected(self, pointcharge16):
-        weight, quad, rec = pointcharge16
+        rec = pointcharge16
         with pytest.raises(ValueError):
-            op.density_derivative(rec, weight, 16, 1.0 - 1e-12, quad)
+            op.density_derivative(rec, 16, 1.0 - 1e-12)
 
 
 class TestStieltjesIdentity:
     def test_unit_weight_single_function_closed_form(self, legendre):
         # n = 1, weight == 1: rho_1 = 1/2, m(z) = (log(1-z) - log(-1-z))/2,
         # V' = 0; residual is |m^2| and must sit below 10 n^-2 eta^-4
-        weight, quad, rec = legendre
+        rec = legendre
         z = 0.0 + 1.0j
         m = 0.5 * (np.log(1 - z) - np.log(-1 - z))
-        res = op.stieltjes_identity_residual(rec, weight, 1, z, quad)
+        res = op.stieltjes_identity_residual(rec, 1, z)
         assert res == pytest.approx(abs(m * m), rel=1e-10)
         assert res <= 10.0
 
@@ -269,8 +288,8 @@ class TestStieltjesIdentity:
         weight = lw.equispaced_weight(16, B=2.0)
         quad = op.build_quadrature(weight, 17, margin=200)
         rec = op.stieltjes_recurrence(weight, quad, 17)
-        r2 = op.stieltjes_identity_residual(rec, weight, 16, 0.1 + 2j, quad)
-        r4 = op.stieltjes_identity_residual(rec, weight, 16, 0.1 + 4j, quad)
+        r2 = op.stieltjes_identity_residual(rec, 16, 0.1 + 2j)
+        r4 = op.stieltjes_identity_residual(rec, 16, 0.1 + 4j)
         ratio = r2 / r4
         assert 8.0 <= ratio <= 24.0  # ~ eta^-4 per doubling
 
@@ -279,19 +298,19 @@ class TestStieltjesIdentity:
         quad = op.build_quadrature(weight, 17, margin=200)
         rec = op.stieltjes_recurrence(weight, quad, 17)
         for eta in (2.0, 4.0):
-            res = op.stieltjes_identity_residual(rec, weight, 16, 0.1 + 1j * eta, quad)
+            res = op.stieltjes_identity_residual(rec, 16, 0.1 + 1j * eta)
             assert res <= 10.0 * 16.0**-2 * eta**-4
 
     def test_real_axis_rejected(self, pointcharge16):
-        weight, quad, rec = pointcharge16
+        rec = pointcharge16
         with pytest.raises(ValueError):
-            op.stieltjes_identity_residual(rec, weight, 16, 0.5, quad)
+            op.stieltjes_identity_residual(rec, 16, 0.5)
 
 
 class TestDerivativeNorms:
     def test_unit_weight_empty_sum(self, legendre):
-        weight, quad, rec = legendre
-        op73, _ = op.derivative_norm_checks(rec, weight, 16, quad)
+        rec = legendre
+        op73, _ = op.derivative_norm_checks(rec, 16)
         assert op73 == 0.0
 
     def test_legendre_derivative_growth(self):
@@ -302,9 +321,9 @@ class TestDerivativeNorms:
         for n in (8, 16, 32):
             quad = op.build_quadrature(weight, n + 1, margin=64)
             rec = op.stieltjes_recurrence(weight, quad, n + 1)
-            _, op51 = op.derivative_norm_checks(rec, weight, n, quad)
+            _, op51 = op.derivative_norm_checks(rec, n)
             xs = np.linspace(-1 + 1e-9, 1 - 1e-9, 20001)
-            psi = op.eval_psi(rec, weight, n - 1, xs)
+            psi = op.eval_psi(rec, n - 1, xs)
             dpsi = np.gradient(psi, xs)
             oracle = float(np.sum((dpsi[1:] ** 2 + dpsi[:-1] ** 2) / 2 * np.diff(xs)))
             assert op51 == pytest.approx(oracle, rel=2e-3)
@@ -316,6 +335,6 @@ class TestDerivativeNorms:
         weight = lw.equispaced_weight(32, B=2.0)
         quad = op.build_quadrature(weight, 33, margin=64)
         rec = op.stieltjes_recurrence(weight, quad, 33)
-        op73, op51 = op.derivative_norm_checks(rec, weight, 32, quad)
+        op73, op51 = op.derivative_norm_checks(rec, 32)
         assert op51 / 32.0**2 <= 1e3
         assert 0.0 < op73 < 1e3

@@ -102,10 +102,10 @@ class TestKernelLimitScan:
         weight = lw.equispaced_weight(32, B=2.0)
         quad = op.build_quadrature(weight, 33, margin=64)
         rec = op.stieltjes_recurrence(weight, quad, 33)
-        rho = op.density(rec, weight, 32, 0.0)
+        rho = op.density(rec, 32, 0.0)
         offs = np.linspace(-1.0, 1.0, 5)
         pts = offs / (32 * rho)
-        scaled_diag = op.density(rec, weight, 32, pts) / rho
+        scaled_diag = op.density(rec, 32, pts) / rho
         assert np.max(np.abs(scaled_diag - 1.0)) <= 0.05
 
     def test_convergence_trend(self):
@@ -115,8 +115,8 @@ class TestKernelLimitScan:
             weight = lw.equispaced_weight(n, B=2.0)
             quad = op.build_quadrature(weight, n + 1, margin=64)
             rec = op.stieltjes_recurrence(weight, quad, n + 1)
-            rho = op.density(rec, weight, n, 0.0)
-            devs[n] = un.kernel_limit_scan(rec, weight, n, 0.0, rho, offsets)
+            rho = op.density(rec, n, 0.0)
+            devs[n] = un.kernel_limit_scan(rec, n, 0.0, rho, offsets)
         assert devs[64] < devs[16]
 
     def test_domain_guard(self):
@@ -124,7 +124,7 @@ class TestKernelLimitScan:
         quad = op.build_quadrature(weight, 17, margin=64)
         rec = op.stieltjes_recurrence(weight, quad, 17)
         with pytest.raises(ValueError):
-            un.kernel_limit_scan(rec, weight, 16, 0.99, 0.5, np.array([0.0, 3.0]))
+            un.kernel_limit_scan(rec, 16, 0.99, 0.5, np.array([0.0, 3.0]))
 
 
 class TestRepulsionCurves:
