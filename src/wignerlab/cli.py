@@ -248,16 +248,16 @@ def cmd_sine(args, started):
 def cmd_repulsion(args, started):
     arc = load_archive(args.archive)
     curve = un.level_repulsion_curve(arc, args.E, np.asarray(_float_list(args.eps_grid)))
+    weg_eps = _float_list(args.wegner_eps)
+    weg = [un.wegner_statistic(arc, args.E, e) for e in weg_eps]
+    k_grid = _float_list(args.K_grid)
+    tail = un.gap_tail(arc, args.E, k_grid)
+    weg_slope = float(np.polyfit(np.log(weg_eps), np.log(weg), 1)[0]) if len(weg_eps) > 1 else None
     with open(args.curve_csv, "w") as fh:
         fh.write("eps,probability,stderr,hits\n")
         for e, p, h in zip(curve.eps_grid, curve.probabilities, curve.hits):
             se = math.sqrt(max(p * (1.0 - p), 0.0) / arc.samples)
             fh.write(f"{e:.17g},{p:.17g},{se:.17g},{h}\n")
-    weg_eps = _float_list(args.wegner_eps)
-    weg = [un.wegner_statistic(arc, args.E, e) for e in weg_eps]
-    weg_slope = float(np.polyfit(np.log(weg_eps), np.log(weg), 1)[0]) if len(weg_eps) > 1 else None
-    k_grid = _float_list(args.K_grid)
-    tail = un.gap_tail(arc, args.E, k_grid)
     payload = {
         "E": args.E,
         "samples": arc.samples,

@@ -4,7 +4,11 @@ local-universality condition report.
 
 For point-charge potentials the two singular endpoint equations reduce to
 exact algebraic sums over the charges; for analytic potentials the
-Chebyshev-Gauss rule absorbs the endpoint square roots. The conventions
+Chebyshev-Gauss rule absorbs the endpoint square roots. The density reads
+only the difference quotient [V'(s) - V'(x)]/(s - x), which each potential
+type supplies as ``derivative_quotient``: a ``localwindow.WeightSpec`` sums
+it exactly over its charges, an ``AnalyticPotential`` divides differences
+of V'. The conventions
 match an external potential V with equilibrium energy
 int int log|s-t|^-1 dnu dnu + int V dnu; the local-universality dictionary
 uses Q = V/2.
@@ -41,6 +45,17 @@ class AnalyticPotential:
         """V'(s), elementwise."""
         s = np.asarray(s, dtype=float)
         return np.asarray([self.vprime(v) for v in np.atleast_1d(s)], dtype=float).reshape(s.shape)
+
+    def derivative_quotient(self, x, s):
+        """[V'(s) - V'(x)]/(s - x) at a scalar x, elementwise in s; a
+        central-difference V''(x) where |s - x| is below a threshold. The
+        step and the threshold scale with the width of ``domain``."""
+        span = self.domain[1] - self.domain[0]
+        h = 1e-6 * span
+        vx, v_hi, v_lo = self.potential_derivative(np.array([x, x + h, x - h]))
+        ds = np.asarray(s, dtype=float) - x
+        quotient = (self.potential_derivative(s) - vx) / np.where(ds == 0, 1.0, ds)
+        return np.where(np.abs(ds) > 1e-9 * span, quotient, (v_hi - v_lo) / (2 * h))
 
 
 @dataclass(frozen=True)
@@ -128,15 +143,16 @@ def _newton_problem(pot):
     return (-1.0 + 1.0 / (2.0 * n), 1.0 - 1.0 / (2.0 * n)), system, clamp
 
 
-def solve_endpoints(pot, tol=1e-12, max_iter=200):
-    """Support endpoints (a, b) of the equilibrium measure by damped Newton.
+def solve_endpoints(pot):
+    """Support endpoints (a, b) of the equilibrium measure by damped Newton,
+    to a residual below 1e-12 within 200 steps.
 
     ``pot`` is a point-charge ``WeightSpec`` or an ``AnalyticPotential``;
     each supplies its own start point, Jacobian and bracket clamp.
     """
     (a, b), system, clamp = _newton_problem(pot)
     f, jac = system(a, b)
-    for _ in range(max_iter):
+    for _ in range(200):
         step = np.linalg.solve(jac, f)
         scale = 1.0
         resid = float(np.max(np.abs(f)))
@@ -149,7 +165,7 @@ def solve_endpoints(pot, tol=1e-12, max_iter=200):
         else:
             raise RuntimeError("endpoint Newton iteration could not be damped into the bracket")
         a, b, f, jac = an, bn, fn, jn
-        if float(np.max(np.abs(f))) < tol:
+        if float(np.max(np.abs(f))) < 1e-12:
             return SupportInterval(a=float(a), b=float(b), residuals=(float(f[0]), float(f[1])))
     raise RuntimeError("endpoint Newton iteration did not converge")
 
@@ -167,34 +183,19 @@ def equilibrium_density(pot, support, x, m=800):
     if not (a + 1e-8 < x < b - 1e-8):
         raise ValueError("x must lie strictly inside the support")
     s = _chebyshev_nodes(a, b, m)
-    if isinstance(pot, AnalyticPotential):
-        vprime = pot.potential_derivative
-        vs = vprime(s)
-        vx = float(vprime(np.array([x]))[0])
-        ds = s - x
-        h = 1e-6 * (b - a)
-        vpp = (vprime(np.array([x + h]))[0] - vprime(np.array([x - h]))[0]) / (2 * h)
-        dd = np.where(np.abs(ds) > 1e-9 * (b - a), (vs - vx) / np.where(ds == 0, 1.0, ds), vpp)
-    else:
-        # [V'(s) - V'(x)]/(s - x) = (2/n) sum_k 1/((x - y_k)(s - y_k))
-        dd = (2.0 / pot.n) * np.sum(
-            1.0 / ((x - pot.roots)[None, :] * (s[:, None] - pot.roots)), axis=1
-        )
-    pv = math.pi * float(np.mean(dd))
+    pv = math.pi * float(np.mean(pot.derivative_quotient(x, s)))
     return math.sqrt(max((x - a) * (b - x), 0.0)) * pv / (2.0 * math.pi**2)
 
 
-def equilibrium_mass(pot, support, m=400, outer=200):
+def equilibrium_mass(pot, support):
     """int_a^b g by the same Chebyshev rule (sanity value, ~1)."""
     a, b = support.a, support.b
-    s = _chebyshev_nodes(a, b, outer)
-    r = (b - a) / 2.0
-    theta = (np.arange(outer) + 0.5) * math.pi / outer
-    g = np.array([equilibrium_density(pot, support, v, m) for v in s])
-    return float(np.sum(g * r * np.sin(theta)) * math.pi / outer)
+    s = _chebyshev_nodes(a, b, 200)
+    g = np.array([equilibrium_density(pot, support, v, 400) for v in s])
+    return float(np.sum(g * np.sqrt((s - a) * (b - s))) * math.pi / 200)
 
 
-def levin_lubinsky_report(support, rec, J, grid_points=41):
+def levin_lubinsky_report(support, rec, J):
     """Desk-scale report of the four local-universality conditions on J for
     the point-charge potential of the recurrence's weight.
 
@@ -207,10 +208,10 @@ def levin_lubinsky_report(support, rec, J, grid_points=41):
     j_lo, j_hi = J
     if not (a < j_lo < j_hi < b):
         raise ValueError("J must be interior to the support")
-    grid = np.linspace(j_lo, j_hi, grid_points)
+    grid = np.linspace(j_lo, j_hi, 41)
     g = np.array([equilibrium_density(rec.weight, support, x) for x in grid])
     qprime = rec.weight.potential_derivative(grid) / 2.0
-    modulus = float(np.max(np.abs(np.diff(qprime)))) if len(grid) > 1 else 0.0
+    modulus = float(np.max(np.abs(np.diff(qprime))))
     n = rec.weight.n
     rho = op_density(rec, n, grid)
     offsets = np.linspace(-3.0, 3.0, 13)

@@ -5,7 +5,11 @@ The n internal points after index L live strictly inside the interval
 bounded by the two nearest external points; the affine rescaling maps those
 bounding points exactly to -1 and +1. Retained external points (each a
 double root of the polynomial weight) generate the log potential
-U(x) = -(2/n) sum_k log |x - y_k|.
+U(x) = -(2/n) sum_k log |x - y_k|. ``WeightSpec`` is the one place that sums
+over those roots: log w, U, U' and the difference quotient
+[U'(s) - U'(x)]/(s - x), which the kernel identities and the equilibrium
+density read. An empty root set needs no special case, since a sum over no
+roots is 0.
 """
 
 import math
@@ -81,7 +85,7 @@ class WeightSpec:
 
     def __post_init__(self):
         roots = np.asarray(self.roots, dtype=float)
-        if self.enforce_exterior and roots.size and np.min(np.abs(roots)) < 1.0 - 1e-12:
+        if self.enforce_exterior and np.any(np.abs(roots) < 1.0 - 1e-12):
             raise ValueError("weight roots must satisfy |y| >= 1")
         object.__setattr__(self, "roots", roots)
         if self.log_shift is None:
@@ -91,8 +95,6 @@ class WeightSpec:
     def log_weight(self, x):
         """log w(x), unnormalized; -inf at roots."""
         x = np.asarray(x, dtype=float)
-        if self.roots.size == 0:
-            return np.zeros_like(x) if x.ndim else 0.0
         with np.errstate(divide="ignore"):
             out = 2.0 * np.sum(np.log(np.abs(x[..., None] - self.roots)), axis=-1)
         return out if out.ndim else float(out)
@@ -104,9 +106,14 @@ class WeightSpec:
     def potential_derivative(self, x):
         """U'(x) = -(2/n) sum 1/(x - y_k)."""
         x = np.asarray(x, dtype=float)
-        if self.roots.size == 0:
-            return np.zeros_like(x) if x.ndim else 0.0
         out = -(2.0 / self.n) * np.sum(1.0 / (x[..., None] - self.roots), axis=-1)
+        return out if out.ndim else float(out)
+
+    def derivative_quotient(self, x, s):
+        """[U'(s) - U'(x)]/(s - x) = (2/n) sum_k 1/((x - y_k)(s - y_k)) at a
+        scalar x, elementwise in s; U''(x) at s = x."""
+        s = np.asarray(s, dtype=float)
+        out = (2.0 / self.n) * np.sum(1.0 / ((x - self.roots) * (s[..., None] - self.roots)), axis=-1)
         return out if out.ndim else float(out)
 
 
@@ -183,18 +190,12 @@ def potential_value_and_derivatives(spec, x):
     """(U, U', U'') of the cutoff potential at an interior point."""
     if not -1.0 < x < 1.0:
         raise ValueError("x must lie strictly inside (-1, 1)")
-    d = x - spec.roots
-    if spec.roots.size and np.min(np.abs(d)) == 0.0:
+    if np.any(spec.roots == x):
         raise ValueError("x coincides with a weight root")
-    if spec.roots.size == 0:
-        return 0.0, 0.0, 0.0
-    u = -(2.0 / spec.n) * float(np.sum(np.log(np.abs(d))))
-    up = -(2.0 / spec.n) * float(np.sum(1.0 / d))
-    upp = (2.0 / spec.n) * float(np.sum(1.0 / d**2))
-    return u, up, upp
+    return spec.potential(x), spec.potential_derivative(x), spec.derivative_quotient(x, x)
 
 
-def tail_split_check(window, B, grid_points=201):
+def tail_split_check(window, B):
     """Far-tail diagnostics of the potential split at cutoff n^B.
 
     Returns (sup_v2_prime, density_ratio_dev): the sup over the window of
@@ -211,13 +212,9 @@ def tail_split_check(window, B, grid_points=201):
     far_left = window.external_left[::-1][cut:]
     far_right = window.external_right[cut:]
     far = np.concatenate([far_left, far_right])
-    grid = np.linspace(lo + 1e-12, hi - 1e-12, grid_points)
-    if far.size:
-        tail_prime = -2.0 * np.sum(1.0 / (grid[:, None] - far), axis=1)
-        tail_val = -2.0 * np.sum(np.log(np.abs(grid[:, None] - far)), axis=1)
-    else:
-        tail_prime = np.zeros_like(grid)
-        tail_val = np.zeros_like(grid)
+    grid = np.linspace(lo + 1e-12, hi - 1e-12, 201)
+    tail_prime = -2.0 * np.sum(1.0 / (grid[:, None] - far), axis=1)
+    tail_val = -2.0 * np.sum(np.log(np.abs(grid[:, None] - far)), axis=1)
     v2_prime = tail_prime + N * grid
     v2_val = tail_val + N * grid**2 / 2.0
     sup_v2_prime = float(np.max(np.abs(v2_prime)))
@@ -225,7 +222,7 @@ def tail_split_check(window, B, grid_points=201):
     return sup_v2_prime, n * delta_v2
 
 
-def assumption_checks(rescaled, density_fn, A=3.0, quad_points=2000):
+def assumption_checks(rescaled, density_fn, A=3.0):
     """Evaluate the two regularity assumptions on a rescaled window.
 
     Returns a dict with the inverse-distance sum over non-bounding
@@ -235,14 +232,10 @@ def assumption_checks(rescaled, density_fn, A=3.0, quad_points=2000):
     """
     n = len(rescaled.internal_rescaled)
     others = np.concatenate([rescaled.external_left[1:], rescaled.external_right[1:]])
-    if others.size:
-        s_at = [float(np.sum(1.0 / np.abs(e - others))) for e in (-1.0, 1.0)]
-        inv_sum = max(s_at)
-    else:
-        inv_sum = 0.0
+    inv_sum = max(float(np.sum(1.0 / np.abs(e - others))) for e in (-1.0, 1.0))
     delta = float(n) ** (-A)
     a, b = -1.0 + delta, 1.0 - delta
-    rule = gauss_legendre(quad_points, half_width=(b - a) / 2.0)  # a == -b
+    rule = gauss_legendre(2000, half_width=(b - a) / 2.0)  # a == -b
     xs = rule.nodes
     vals = np.asarray([density_fn(x) for x in xs], dtype=float)
     edge_integral = float(np.sum(rule.weights * ((xs + 1.0) ** -2.0 + (1.0 - xs) ** -2.0) * vals))

@@ -217,19 +217,12 @@ def density_derivative(rec, n, x):
     weight, quad = rec.weight, rec.quad
     if abs(x) >= 1.0 - 1e-8:
         raise ValueError("x too close to the interval endpoints")
-    if weight.roots.size and np.min(np.abs(x - weight.roots)) == 0.0:
+    if np.any(weight.roots == x):
         raise ValueError("x coincides with a weight root")
     z = quad.nodes
     row = kernel_matrix(rec, n, np.array([x]), np.append(z, [1.0, -1.0]))[0]
     krow, k_hi, k_lo = row[:-2], row[-2], row[-1]
-    if weight.roots.size:
-        # U'(z) - U'(x) = -(2/n) sum_k (x - z)/((x - y_k)(z - y_k))
-        dv = -(2.0 / weight.n) * np.sum(
-            (x - z[:, None]) / ((x - weight.roots)[None, :] * (z[:, None] - weight.roots)),
-            axis=1,
-        )
-    else:
-        dv = np.zeros_like(z)
+    dv = (z - x) * weight.derivative_quotient(x, z)  # U'(z) - U'(x)
     integral = float(np.sum(quad.weights * dv * krow**2))
     return integral + float(k_hi**2 - k_lo**2) / n
 
@@ -267,10 +260,7 @@ def derivative_norm_checks(rec, n):
         dot_prev, dot = dot, (table[j] + (xs - rec.alpha[j]) * dot - b_prev * dot_prev) / rec.beta[j]
     psi = table[n - 1]
     psi_prime = dot - 0.5 * weight.n * weight.potential_derivative(xs) * psi
-    if weight.roots.size:
-        inv = np.sum(1.0 / np.abs(xs[:, None] - weight.roots), axis=1) / weight.n
-    else:
-        inv = np.zeros_like(xs)
+    inv = np.sum(1.0 / np.abs(xs[:, None] - weight.roots), axis=1) / weight.n
     op73 = float(np.sum(quad.weights * psi**2 * inv**2))
     op51 = float(np.sum(quad.weights * psi_prime**2))
     return op73, op51

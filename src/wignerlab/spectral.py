@@ -166,6 +166,8 @@ def local_density(spectrum, E, eta):
 
 def semicircle_density_sup_deviation(spectrum, eta_star, e_min=-1.5, e_max=1.5):
     """sup_E |count[E-eta*, E+eta*]/(2 N eta*) - rho_sc(E)| on a fine grid."""
+    if not (math.isfinite(eta_star) and eta_star > 0):
+        raise ValueError("eta_star must be finite and positive")
     grid = np.arange(e_min, e_max + eta_star / 5.0, eta_star / 5.0)
     dev = np.abs(local_density(spectrum, grid, eta_star) - semicircle_density(grid))
     return float(np.max(dev))

@@ -77,6 +77,8 @@ def _bump(u, radius):
 
 def bump_observable(radius=3.0):
     """Smooth compactly supported bump pair; h normalized to unit integral."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be finite and positive")
     rule = gauss_legendre(400, half_width=radius)
     norm = float(np.sum(rule.weights * _bump(rule.nodes, radius)))
     return Observable(
@@ -187,6 +189,8 @@ class RepulsionCurve:
 
 def _interval_counts(data, E, eps):
     """Eigenvalue counts in [E - eps/(2N), E + eps/(2N)] per sample."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive")
     N = data.shape[1]
     half = eps / (2.0 * N)
     return np.sum((data >= E - half) & (data <= E + half), axis=1)
@@ -243,6 +247,8 @@ def gap_tail(archive, E, K_grid):
     data = _as_data(archive)
     samples, N = data.shape
     K_grid = np.asarray(K_grid, dtype=float)
+    if not np.all(np.isfinite(K_grid)):
+        raise ValueError("K must be finite")
     idx = np.sum(data < E, axis=1)
     valid = (idx >= 1) & (idx <= N - 1)
     if not np.any(valid):
@@ -263,8 +269,8 @@ def vandermonde_statistic(spectrum, eta=None):
     N = len(lam)
     if eta is None:
         eta = float(N) ** -0.75
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError("eta must be finite and nonnegative")
     return float((N / 2.0 * np.sum(lam**2) - 2.0 * log_vandermonde(lam, eta)) / N**2)
 
 

@@ -410,6 +410,22 @@ DEFAULTS = [
 ]
 
 
+# (subcommand and flag, error line) of statistic parameters that must fail
+# closed on an archive: exit 1, that one line, and no file written
+BAD_PARAMETERS = [
+    (["sine", "--radius=0"], "radius must be finite and positive"),
+    (["sine", "--radius=-1"], "radius must be finite and positive"),
+    (["sine", "--radius=nan"], "radius must be finite and positive"),
+    (["semicircle", "--eta-star=0"], "eta_star must be finite and positive"),
+    (["semicircle", "--eta-star=-0.01"], "eta_star must be finite and positive"),
+    (["semicircle", "--eta-star=nan"], "eta_star must be finite and positive"),
+    (["repulsion", "--eps-grid=-1,1"], "eps must be finite and positive"),
+    (["repulsion", "--wegner-eps=0,1"], "eps must be finite and positive"),
+    (["repulsion", "--K-grid=nan"], "K must be finite"),
+    (["vandermonde", "--eta=nan"], "eta must be finite and nonnegative"),
+]
+
+
 @pytest.fixture(scope="module")
 def two_row_archive(tmp_path_factory):
     path = tmp_path_factory.mktemp("two") / "a.csv"
@@ -436,6 +452,14 @@ class TestOptions:
         err = capsys.readouterr().err
         assert err == f"error: --sample-index {index} is outside 0..1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", BAD_PARAMETERS, ids=[" ".join(a) for a, _ in BAD_PARAMETERS])
+    def test_bad_statistic_parameter_fails_closed(self, tmp_path, monkeypatch, capsys, two_row_archive,
+                                                  argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--archive", str(two_row_archive), *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=60, deadline=None)
     @given(index=st.integers())

@@ -71,6 +71,12 @@ class TestDensity:
         assert np.all(g > 0)
         assert np.max(g) / np.min(g) <= 1.5
 
+    def test_analytic_derivative_quotient(self):
+        pot = eq.AnalyticPotential(vprime=lambda s: s**3)
+        x, s = 0.3, np.linspace(-0.9, 0.9, 20)
+        assert np.allclose(pot.derivative_quotient(x, s), s**2 + s * x + x**2, rtol=1e-12, atol=0.0)
+        assert float(pot.derivative_quotient(x, x)) == pytest.approx(3 * x**2, rel=1e-8)
+
     def test_outside_support_rejected(self, quadratic_potential):
         pot, support = quadratic_potential
         with pytest.raises(ValueError):

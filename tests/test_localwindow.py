@@ -147,6 +147,21 @@ class TestPotential:
         fd = (spec.potential_derivative(0.37 + h) - spec.potential_derivative(0.37 - h)) / (2 * h)
         assert upp == pytest.approx(float(fd), rel=1e-5)
 
+    def test_derivative_quotient_oracle(self):
+        spec = lw.equispaced_weight(8, B=2.0)
+        x, s = 0.37, np.linspace(-0.95, 0.95, 20)
+        oracle = (spec.potential_derivative(s) - spec.potential_derivative(x)) / (s - x)
+        assert np.allclose(spec.derivative_quotient(x, s), oracle, rtol=1e-10, atol=0.0)
+        h = 1e-6
+        fd = (spec.potential_derivative(x + h) - spec.potential_derivative(x - h)) / (2 * h)
+        assert spec.derivative_quotient(x, x) == pytest.approx(fd, rel=1e-5)
+
+    def test_empty_roots_give_zero_quotient(self):
+        spec = lw.WeightSpec(n=4, roots=np.array([]))
+        s = np.linspace(-0.9, 0.9, 7)
+        assert np.array_equal(spec.derivative_quotient(0.2, s), np.zeros_like(s))
+        assert spec.derivative_quotient(0.2, 0.2) == 0.0
+
 
 class TestTailSplit:
     def test_empty_tail(self):
