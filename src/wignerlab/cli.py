@@ -5,7 +5,9 @@ rigidity, window, oplocal, equilibrium, sine, repulsion, vandermonde,
 report. `build_parser` declares each option's type and default once, so
 `--help` shows them. Flag precedence is flags > config file > defaults; the
 config file is flat UTF-8 key=value text (same keys as the long flags,
-dashes or underscores) whose values go through each option's type.
+dashes or underscores) whose values go through each option's type. `evolve
+--t` is the only OU flow time, `vandermonde` reads a `sample` archive, and a
+non-finite float option fails before any file is written.
 `--sample-index` must lie in 0..samples-1. Every run writes its outputs
 plus a manifest JSON recording the resolved config (every option), the
 environment (Python, numpy, scipy, BLAS, cores, BLAS thread variables),
@@ -115,16 +117,22 @@ def _stat_record(statistic, N, samples, value, threshold, passed):
 
 
 def cmd_sample(args, started):
-    """Write an archive; evolve is sample with --t as the extra OU flow time."""
-    evolve_time = args.t if args.command == "evolve" else args.evolve_t
+    """Write an archive; evolve's --t is the OU flow time (sample has none: 0)."""
     arc = generate_archive(args.kind, args.N, args.samples, args.seed, beta_exponent=args.beta,
-                           entry_law=args.entry_law, evolve_time=evolve_time, label=args.label)
+                           entry_law=args.entry_law, evolve_time=getattr(args, "t", 0.0), label=args.label)
     save_archive(arc, args.out)
     _write_manifest(args, [args.out], started)
     print(f"wrote {arc.samples} spectra of size {arc.N} to {args.out}")
 
 
+def _require_tolerances(args, *names):
+    for name in names:
+        if not (math.isfinite(getattr(args, name)) and getattr(args, name) >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative")
+
+
 def cmd_semicircle(args, started):
+    _require_tolerances(args, "density_tol", "count_tol")
     arc = load_archive(args.archive)
     dens_dev = [sp.semicircle_density_sup_deviation(row, args.eta_star) for row in arc.data]
     count_dev = [sp.counting_function_sup_deviation(row) for row in arc.data]
@@ -138,6 +146,7 @@ def cmd_semicircle(args, started):
 
 
 def cmd_rigidity(args, started):
+    _require_tolerances(args, "location_tol")
     arc = load_archive(args.archive)
     devs = [sp.rigidity_check(row, args.kappa) for row in arc.data]
     loc = np.array([d[0] for d in devs])
@@ -189,24 +198,27 @@ def _recurrence(weight):
 
 
 def cmd_oplocal(args, started):
+    if not -1.0 <= args.energy <= 1.0:
+        raise ValueError("energy must lie in [-1, 1]")
     weight = _weight(args)
     n = weight.n
     rec = _recurrence(weight)
+    rho = op.density(rec, n, args.energy)
+    offsets = np.linspace(-1.5, 1.5, args.scan_points)
+    # the scan checks its points, so it runs before any file is written
+    max_dev = un.kernel_limit_scan(rec, n, args.energy, rho, offsets)
+    pts = args.energy + offsets / (n * rho)
+    kmat = op.kernel_matrix(rec, n, pts)
+    dens = op.density(rec, n, pts)
     with open(args.recurrence_csv, "w") as fh:
         fh.write("j,alpha_j,beta_j\n")
         for j in range(rec.max_degree):
             fh.write(f"{j},{rec.alpha[j]:.17g},{rec.beta[j]:.17g}\n")
-    rho = op.density(rec, n, args.energy)
-    offsets = np.linspace(-1.5, 1.5, args.scan_points)
-    pts = args.energy + offsets / (n * rho)
-    kmat = op.kernel_matrix(rec, n, pts)
-    dens = op.density(rec, n, pts)
     with open(args.kernel_csv, "w") as fh:
         fh.write("x,y,K_n,rho_n\n")
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 fh.write(f"{x:.17g},{y:.17g},{kmat[i, j]:.17g},{dens[i]:.17g}\n")
-    max_dev = un.kernel_limit_scan(rec, n, args.energy, rho, offsets)
     table = op._psi_table(rec, n - 1, rec.quad.nodes)
     gram = (table * rec.quad.weights) @ table.T
     payload = {
@@ -252,7 +264,8 @@ def cmd_repulsion(args, started):
     weg = [un.wegner_statistic(arc, args.E, e) for e in weg_eps]
     k_grid = _float_list(args.K_grid)
     tail = un.gap_tail(arc, args.E, k_grid)
-    weg_slope = float(np.polyfit(np.log(weg_eps), np.log(weg), 1)[0]) if len(weg_eps) > 1 else None
+    # a log-log slope needs two windows and no zero mean count
+    weg_slope = float(np.polyfit(np.log(weg_eps), np.log(weg), 1)[0]) if len(weg_eps) > 1 and min(weg) > 0 else None
     with open(args.curve_csv, "w") as fh:
         fh.write("eps,probability,stderr,hits\n")
         for e, p, h in zip(curve.eps_grid, curve.probabilities, curve.hits):
@@ -273,11 +286,7 @@ def cmd_repulsion(args, started):
 
 
 def cmd_vandermonde(args, started):
-    if args.archive is not None:
-        arc = load_archive(args.archive)
-    else:
-        _require(args, "N")
-        arc = generate_archive("gue", args.N, args.samples, args.seed)
+    arc = load_archive(args.archive)
     stats = [un.vandermonde_statistic(row, args.eta) for row in arc.data]
     x2, log_energy, combo = un.semicircle_constants_check()
     mean = float(np.mean(stats))
@@ -370,15 +379,12 @@ def build_parser():
         for flag, kwargs in specs:
             p.add_argument(flag, **kwargs)
 
-    N = ("--N", dict(type=int, help="matrix dimension"))
-    seed = ("--seed", dict(type=int, default=0, help="base RNG seed"))
-    label = ("--label", dict(help="archive label"))
     archive = ("--archive", dict(help="input archive"))
     ensemble = [
-        N,
+        ("--N", dict(type=int, help="matrix dimension")),
         ("--samples", dict(type=int, help="sample count")),
-        seed,
-        label,
+        ("--seed", dict(type=int, default=0, help="base RNG seed")),
+        ("--label", dict(help="archive label")),
         ("--entry-law", dict(choices=["gaussian", "uniform", "rademacher-smoothed"], default="gaussian",
                              help="law of the Wigner entries")),
         ("--beta", dict(type=float, default=0.5, help="Gaussian-component exponent")),
@@ -386,12 +392,11 @@ def build_parser():
     add("sample", "generate an eigenvalue archive",
         *ensemble,
         ("--kind", dict(choices=["gue", "wigner", "poisson"], default="gue", help="ensemble kind")),
-        ("--evolve-t", dict(type=float, default=0.0, help="extra OU flow time")),
         required=("N", "samples", "out"))
     add("evolve", "sample then run the matrix OU flow",
         *ensemble,
         ("--kind", dict(choices=["gue", "wigner"], default="wigner", help="ensemble kind")),
-        ("--t", dict(type=float, help="OU flow time")),
+        ("--t", dict(type=float, help="OU flow time, finite and nonnegative")),
         required=("t", "N", "samples", "out"))
     add("semicircle", "local density and counting-function checks",
         archive,
@@ -439,11 +444,9 @@ def build_parser():
         ("--curve-csv", dict(default="repulsion_curve.csv", help="repulsion curve output path")),
         required=("archive",))
     add("vandermonde", "regularized log-gas energy statistic",
-        N,
-        ("--samples", dict(type=int, default=20, help="sample count without --archive")),
-        seed,
         archive,
-        ("--eta", dict(type=float, help="regularization scale")))
+        ("--eta", dict(type=float, help="regularization scale")),
+        required=("archive",))
     add("report", "merge emitted JSON reports", ("--dir", dict(default=".", help="directory of the reports")))
     return parser
 

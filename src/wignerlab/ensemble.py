@@ -150,8 +150,8 @@ def ou_evolve(h0, t, stream):
 
     t = 0 returns H0 unchanged without consuming the stream.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("time must be finite and nonnegative")
     if t == 0:
         return h0
     v = sample_gue(h0.dim, stream)
@@ -179,23 +179,23 @@ def _dbm_drift(lam, N):
     return -lam / 2.0 + np.sum(1.0 / diffs, axis=1) / N
 
 
-def _dbm_step(lam, dt, N, rng, depth, max_halvings):
+def _dbm_step(lam, dt, N, rng, depth):
     """One ordered Euler step, recursively halving dt on ordering violations."""
     prop = lam + _dbm_drift(lam, N) * dt + math.sqrt(dt / N) * rng.standard_normal(len(lam))
     if len(prop) == 1 or np.all(np.diff(prop) > 0):
         return prop
-    if depth >= max_halvings:
+    if depth >= 40:
         raise RuntimeError("DBM substep controller failed to maintain ordering")
-    half = _dbm_step(lam, dt / 2.0, N, rng, depth + 1, max_halvings)
-    return _dbm_step(half, dt / 2.0, N, rng, depth + 1, max_halvings)
+    half = _dbm_step(lam, dt / 2.0, N, rng, depth + 1)
+    return _dbm_step(half, dt / 2.0, N, rng, depth + 1)
 
 
-def dbm_integrate(spectrum0, dt, steps, stream, max_halvings=40):
+def dbm_integrate(spectrum0, dt, steps, stream):
     """Integrate the eigenvalue SDE d lambda_i = dB_i/sqrt(N) +
     [-lambda_i/2 + N^-1 sum_{j!=i} (lambda_i - lambda_j)^-1] dt.
 
     Ordering is preserved by adaptive substepping: a step that crosses is
-    retried as two half steps, recursively up to ``max_halvings``.
+    retried as two half steps, recursively up to 40 halvings deep.
     """
     lam = require_spectrum(spectrum0).copy()
     if dt <= 0:
@@ -204,7 +204,7 @@ def dbm_integrate(spectrum0, dt, steps, stream, max_halvings=40):
     traj = np.empty((steps + 1, N))
     traj[0] = lam
     for k in range(steps):
-        lam = _dbm_step(lam, dt, N, stream, 0, max_halvings)
+        lam = _dbm_step(lam, dt, N, stream, 0)
         traj[k + 1] = lam
     return DbmPath(step_size=dt, steps=steps, trajectory=traj)
 

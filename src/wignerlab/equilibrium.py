@@ -100,9 +100,9 @@ def _chebyshev_nodes(a, b, m):
     return (a + b) / 2.0 + (b - a) / 2.0 * np.cos(theta)
 
 
-def _analytic_system(pot, a, b, m=400):
-    """Endpoint equations by Chebyshev-Gauss quadrature (weight absorbed)."""
-    s = _chebyshev_nodes(a, b, m)
+def _analytic_system(pot, a, b):
+    """Endpoint equations by 400-node Chebyshev-Gauss quadrature (weight absorbed)."""
+    s = _chebyshev_nodes(a, b, 400)
     v = pot.potential_derivative(s)
     f1 = float(np.mean(v))                      # (1/pi) int V'/sqrt(...) ds
     f2 = float(np.mean(v * s) / 2.0 - 1.0)      # (1/2pi) int V' s/sqrt(...) ds - 1

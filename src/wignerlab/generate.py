@@ -18,9 +18,11 @@ def generate_archive(kind, N, samples, seed, *, beta_exponent=0.5, entry_law="ga
     """Sample an ensemble and return the archive of its spectra.
 
     kind: "gue" | "wigner" | "poisson". Wigner samples use the Gaussian
-    component s^2 = N^(-3/4 + beta_exponent) and the given entry law; a
-    positive evolve_time additionally runs the matrix OU flow.
+    component s^2 = N^(-3/4 + beta_exponent) and the given entry law. Every
+    matrix then runs the OU flow for evolve_time (0 leaves it as drawn).
     """
+    if not np.isfinite(beta_exponent):
+        raise ValueError("beta exponent must be finite")
     if kind == "poisson":
         return Archive(N=N, label=label or "poisson", data=poisson_spectra(N, samples, seed))
     if kind == "wigner":
@@ -32,7 +34,6 @@ def generate_archive(kind, N, samples, seed, *, beta_exponent=0.5, entry_law="ga
     for i in range(samples):
         stream = sample_stream(seed, i)
         h = sample_gue(N, stream) if kind == "gue" else sample_wigner(config, stream)
-        if evolve_time > 0:
-            h = ou_evolve(h, evolve_time, stream)
+        h = ou_evolve(h, evolve_time, stream)
         data[i] = eigenvalues(h)
     return Archive(N=N, label=label or kind, data=data)

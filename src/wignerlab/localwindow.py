@@ -137,6 +137,8 @@ def extract_window(spectrum, L, n):
 def rescale(window, B, root_cap=DEFAULT_ROOT_CAP):
     """Affine map of the window onto [-1, 1], dropping externals with
     |k| >= n^B (and beyond ``root_cap`` per side)."""
+    if not math.isfinite(B):
+        raise ValueError("B must be finite")
     lo, hi = window.window
     if not hi > lo:
         raise ValueError("degenerate window")
@@ -172,16 +174,18 @@ def weight_from_window(rescaled):
     return WeightSpec(n=len(rescaled.internal_rescaled), roots=rescaled.external_rescaled)
 
 
-def equispaced_weight(n, B=2.0, rho0=0.5, root_cap=DEFAULT_ROOT_CAP):
-    """Synthetic external profile: roots at +-(1 + j/(n rho0)) out to the
-    |k| < n^B cutoff, the idealized flat-density configuration."""
+def equispaced_weight(n, B=2.0, root_cap=DEFAULT_ROOT_CAP):
+    """Synthetic external profile: roots at +-(1 + j/(n rho0)), rho0 = 1/2, out
+    to the |k| < n^B cutoff, the idealized flat-density configuration."""
     if n < 1:
         raise ValueError("window size must be positive")
+    if not math.isfinite(B):
+        raise ValueError("B must be finite")
     count = int(n**B) - 1
     if root_cap is not None:
         count = min(count, root_cap)
     j = np.arange(count + 1)  # j = 0 is the bounding point at +-1
-    right = 1.0 + j / (n * rho0)
+    right = 1.0 + j / (n * 0.5)
     roots = np.concatenate([-right[::-1], right])
     return WeightSpec(n=n, roots=roots)
 

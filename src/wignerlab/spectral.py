@@ -3,7 +3,8 @@ counting functions, semicircle comparisons, rigidity, repulsion sums, and
 good-configuration classification.
 
 All operations act on plain 1-D float arrays holding a strictly increasing
-spectrum; ``require_spectrum`` is the shared validator.
+spectrum; ``require_spectrum`` is the shared validator. The good-configuration
+thresholds are the constants ``GOOD_*``; only the support bound K is an argument.
 """
 
 import math
@@ -25,7 +26,8 @@ __all__ = [
     "local_density",
     "semicircle_density_sup_deviation",
     "counting_function_sup_deviation",
-    "GoodConfigParams",
+    "window_size",
+    "dyadic_scales",
     "GoodConfigReport",
     "good_config_check",
     "rigidity_check",
@@ -116,7 +118,7 @@ def semicircle_cdf(E):
     return out if out.ndim else float(out)
 
 
-def semicircle_cdf_inverse(q, tol=1e-13):
+def semicircle_cdf_inverse(q):
     """Inverse of ``semicircle_cdf`` by bracketed Newton iteration."""
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0) or np.any(q > 1.0):
@@ -137,7 +139,7 @@ def semicircle_cdf_inverse(q, tol=1e-13):
         xn = x - step
         bad = (xn <= lo) | (xn >= hi) | (d <= 1e-12)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
-        if np.all(np.abs(xn - x) < tol):
+        if np.all(np.abs(xn - x) < 1e-13):
             x = xn
             break
         x = xn
@@ -164,11 +166,11 @@ def local_density(spectrum, E, eta):
     return out if out.size > 1 else float(out[0])
 
 
-def semicircle_density_sup_deviation(spectrum, eta_star, e_min=-1.5, e_max=1.5):
-    """sup_E |count[E-eta*, E+eta*]/(2 N eta*) - rho_sc(E)| on a fine grid."""
+def semicircle_density_sup_deviation(spectrum, eta_star):
+    """sup_E |count[E-eta*, E+eta*]/(2 N eta*) - rho_sc(E)|, E in [-1.5, 1.5] by eta*/5."""
     if not (math.isfinite(eta_star) and eta_star > 0):
         raise ValueError("eta_star must be finite and positive")
-    grid = np.arange(e_min, e_max + eta_star / 5.0, eta_star / 5.0)
+    grid = np.arange(-1.5, 1.5 + eta_star / 5.0, eta_star / 5.0)
     dev = np.abs(local_density(spectrum, grid, eta_star) - semicircle_density(grid))
     return float(np.max(dev))
 
@@ -183,41 +185,28 @@ def counting_function_sup_deviation(spectrum):
     return float(max(above.max(), below.max()))
 
 
-@dataclass(frozen=True)
-class GoodConfigParams:
-    """Thresholds for the good-global-configuration test.
+# Good-configuration thresholds: desk-scale choices, not the paper's asymptotic constants.
+GOOD_EPSILON = 0.3
+GOOD_GAMMA = 0.1
+GOOD_KAPPA = 0.1
+GOOD_SCALE = 2.0  # multiplier on the dyadic-scale threshold
 
-    The absolute constants in the dyadic-scale clause are asymptotic; these
-    desk-scale defaults are documented, configurable choices, not asserted
-    paper constants.
-    """
 
-    epsilon: float = 0.3
-    gamma: float = 0.1
-    kappa: float = 0.1
-    K: float = 10.0
-    scale_constant: float = 2.0  # multiplier on the dyadic-scale threshold
+def window_size(N):
+    """Odd window size n = 2*floor(N^epsilon / 2) + 1."""
+    return 2 * int(N**GOOD_EPSILON / 2) + 1
 
-    def __post_init__(self):
-        if not (0 < self.gamma <= 1.0) or not (0 < self.epsilon <= 1.0):
-            raise ValueError("epsilon and gamma must lie in (0, 1]")
-        if not (0 < self.kappa < 1):
-            raise ValueError("kappa must lie in (0, 1)")
 
-    def window_size(self, N):
-        """Odd window size n = 2*floor(N^epsilon / 2) + 1."""
-        return 2 * int(N**self.epsilon / 2) + 1
-
-    def dyadic_scales(self, N):
-        """Scales eta*_m = 2^m n^gamma / N for m = 0 .. log N, capped at 1/4."""
-        n = self.window_size(N)
-        scales = []
-        for m in range(int(math.log(N)) + 1):
-            eta = 2.0**m * n**self.gamma / N
-            if eta > 0.25:
-                break
-            scales.append(eta)
-        return scales
+def dyadic_scales(N):
+    """Scales eta*_m = 2^m n^gamma / N for m = 0 .. log N, capped at 1/4."""
+    n = window_size(N)
+    scales = []
+    for m in range(int(math.log(N)) + 1):
+        eta = 2.0**m * n**GOOD_GAMMA / N
+        if eta > 0.25:
+            break
+        scales.append(eta)
+    return scales
 
 
 @dataclass(frozen=True)
@@ -230,41 +219,41 @@ class GoodConfigReport:
     support_ok: bool
 
 
-def good_config_check(spectrum, params=GoodConfigParams()):
+def good_config_check(spectrum, K=10.0):
     """Evaluate the four good-configuration clauses and report the worst one.
 
-    ``worst_deviation`` is the largest ratio of measured dyadic-scale density
-    deviation to its threshold (<= 1 means the clause holds), and
-    ``worst_scale_m`` the scale index attaining it.
+    ``K`` bounds the support and the density cap. ``worst_deviation`` is the
+    largest ratio of dyadic-scale density deviation to its threshold (<= 1
+    means the clause holds), attained at scale index ``worst_scale_m``.
     """
     spectrum = require_spectrum(spectrum)
     N = len(spectrum)
-    n = params.window_size(N)
-    scales = params.dyadic_scales(N)
+    n = window_size(N)
+    scales = dyadic_scales(N)
 
-    e_lo, e_hi = -2.0 + params.kappa / 2.0, 2.0 - params.kappa / 2.0
+    e_lo, e_hi = -2.0 + GOOD_KAPPA / 2.0, 2.0 - GOOD_KAPPA / 2.0
     worst_ratio, worst_m = 0.0, 0
     for m, eta in enumerate(scales):
         grid = np.arange(e_lo, e_hi + eta / 4.0, eta / 4.0)
         # clause uses windows of length eta centered at E
         dev = np.max(np.abs(local_density(spectrum, grid, eta / 2.0) - semicircle_density(grid)))
-        threshold = params.scale_constant * (N * eta) ** (-0.25) * n ** (params.gamma / 12.0)
+        threshold = GOOD_SCALE * (N * eta) ** (-0.25) * n ** (GOOD_GAMMA / 12.0)
         ratio = dev / threshold
         if ratio > worst_ratio:
             worst_ratio, worst_m = ratio, m
     scales_ok = worst_ratio <= 1.0
 
     half = count_interval(spectrum, -np.inf, 0.0)
-    half_count_ok = abs(half / (N / 2.0) - 1.0) <= n ** (-params.gamma / 6.0)
+    half_count_ok = abs(half / (N / 2.0) - 1.0) <= n ** (-GOOD_GAMMA / 6.0)
 
-    eta0 = scales[0] if scales else n**params.gamma / N
+    eta0 = scales[0] if scales else n**GOOD_GAMMA / N
     # sup over all window positions of the count in a length-eta0 window; the
     # sup is attained with the window's left edge at an eigenvalue
     hi = np.searchsorted(spectrum, spectrum + eta0, side="right")
     max_count = int(np.max(hi - np.arange(N)))
-    density_cap_ok = max_count <= params.K * N * eta0
+    density_cap_ok = max_count <= K * N * eta0
 
-    support_ok = count_interval(spectrum, -params.K, params.K) == N
+    support_ok = count_interval(spectrum, -K, K) == N
 
     return GoodConfigReport(
         in_omega=bool(scales_ok and half_count_ok and density_cap_ok and support_ok),
@@ -287,7 +276,7 @@ def _bulk_indices(N, kappa):
     return lo, hi
 
 
-def rigidity_check(spectrum, kappa, params=GoodConfigParams()):
+def rigidity_check(spectrum, kappa):
     """Location and pair rigidity of bulk eigenvalues.
 
     Returns (max_location_dev, max_pair_dev): the worst distance of a bulk
@@ -303,8 +292,8 @@ def rigidity_check(spectrum, kappa, params=GoodConfigParams()):
     lam = spectrum[idx - 1]
     max_loc = float(np.max(np.abs(lam - quant)))
 
-    ngam = params.window_size(N) ** params.gamma
-    pair_cap = int(N * params.window_size(N) ** (-params.gamma / 6.0))
+    ngam = window_size(N) ** GOOD_GAMMA
+    pair_cap = int(N * window_size(N) ** (-GOOD_GAMMA / 6.0))
     max_pair = 0.0
     rho = semicircle_density(lam)
     for i, a in enumerate(idx[:-1]):

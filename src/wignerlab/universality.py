@@ -98,21 +98,21 @@ class CorrelationEstimate:
     reference: float
 
 
-def sine_kernel_reference(obs, quad_points=400):
-    """int g(u) [1 - sinc^2(u)] du for the estimator comparison."""
-    rule = gauss_legendre(quad_points, half_width=obs.support_radius)
+def sine_kernel_reference(obs):
+    """int g(u) [1 - sinc^2(u)] du by a 400-node Gauss rule on the support of g."""
+    rule = gauss_legendre(400, half_width=obs.support_radius)
     xs = rule.nodes
     return float(np.sum(rule.weights * np.asarray(obs.g(xs)) * gap_complement(xs)))
 
 
-def two_point_estimator(archive, E0, delta, obs, energy_nodes=33):
+def two_point_estimator(archive, E0, delta, obs):
     """Windowed two-point statistic of an eigenvalue archive.
 
     Monte-Carlo average over samples of
     (N/(N-1)) sum_{j != k} (2 delta)^-1 int_(E0-delta)^(E0+delta)
         g((l_j - l_k) N rho) h(((l_j + l_k)/2 - E) N rho) dE
     with rho = rho_sc(E0) (the O(delta) center simplification) and the
-    energy average done by deterministic Gauss quadrature. The reference
+    energy average done by a 33-node Gauss rule. The reference
     field carries the sine-kernel prediction int g (1 - sinc^2).
     """
     data = _as_data(archive)
@@ -122,10 +122,12 @@ def two_point_estimator(archive, E0, delta, obs, energy_nodes=33):
     rho = semicircle_density(E0)
     if rho <= 0:
         raise ValueError("E0 lies outside the bulk")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be finite and positive")
     if abs(E0) + delta >= 2.0:
         raise ValueError("energy window reaches the spectral edge")
     R = obs.support_radius
-    unit = gauss_legendre(energy_nodes)
+    unit = gauss_legendre(33)
     e_nodes = E0 + delta * unit.nodes
     e_weights = unit.weights / 2.0  # (2 delta)^-1 times the mapped weights delta * w
     margin = 2.0 * R / (N * rho)
@@ -159,22 +161,21 @@ def two_point_estimator(archive, E0, delta, obs, energy_nodes=33):
     )
 
 
-def kernel_limit_scan(rec, n, E, rho_n_E, grid, max_separation=3.0):
+def kernel_limit_scan(rec, n, E, rho_n_E, grid):
     """Worst deviation of the rescaled kernel from the sine kernel.
 
-    max over offset pairs (a, b) in the grid (restricted to
-    |a - b| <= max_separation) of
+    max over offset pairs (a, b) in the grid (restricted to |a - b| <= 3) of
     |(n rho)^-1 K_n(E + a/(n rho), E + b/(n rho)) - sinc(a - b)|.
     """
     grid = np.asarray(grid, dtype=float)
     pts = E + grid / (n * rho_n_E)
-    if np.any(np.abs(pts) > 1.0):
+    if not np.all(np.abs(pts) <= 1.0):  # NaN points fail too
         raise ValueError("scan leaves the weight's interval")
     scaled = kernel_matrix(rec, n, pts) / (n * rho_n_E)
     seps = grid[:, None] - grid[None, :]
     ref = sine_kernel(seps)
     dev = np.abs(scaled - ref)
-    dev[np.abs(seps) > max_separation] = 0.0
+    dev[np.abs(seps) > 3.0] = 0.0
     return float(np.max(dev))
 
 

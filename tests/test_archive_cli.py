@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,13 @@ class TestCli:
                      "-o", str(out)]) == 0
         assert load_archive(str(out)).samples == 2
 
+    @pytest.mark.parametrize("t", ["-1", "nan"])
+    def test_evolve_bad_time_fails_closed(self, tmp_path, monkeypatch, capsys, t):
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--N", "10", "--samples", "2", "--seed", "1", "--t", t, "-o", "e.csv"]) == 1
+        assert capsys.readouterr().err == "error: time must be finite and nonnegative\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_evolve_manifest_names_evolve(self, tmp_path):
         out = tmp_path / "e.csv"
         assert main(["evolve", "--N", "10", "--samples", "1", "--t", "0.1", "-o", str(out)]) == 0
@@ -370,17 +378,29 @@ class TestCli:
         assert 1.2 <= payload["fitted_exponent"] <= 2.8
         assert (tmp_path / "repulsion_curve.csv").exists()
 
+    def test_wegner_slope_null_on_zero_mean_count(self, tmp_path, monkeypatch):
+        # at eps = 0.5 no row of this archive has an eigenvalue in the window
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "--N", "200", "--samples", "20", "--seed", "5", "-o", "a.csv"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["repulsion", "--archive", "a.csv", "-o", "rep.json"]) == 0
+        wegner = json.loads((tmp_path / "rep.json").read_text())["wegner"]
+        assert 0.0 in wegner["mean_counts"] and wegner["log_slope"] is None
+
     def test_vandermonde_command(self, tmp_path):
+        arc = tmp_path / "g.csv"
+        assert main(["sample", "--N", "100", "--samples", "3", "--seed", "1", "-o", str(arc)]) == 0
         out = tmp_path / "v.json"
-        assert main(["vandermonde", "--N", "100", "--samples", "3", "--seed", "1",
-                     "-o", str(out)]) == 0
+        assert main(["vandermonde", "--archive", str(arc), "-o", str(out)]) == 0
         payload = json.loads(out.read_text())
+        assert (payload["N"], payload["samples"]) == (100, 3)
         assert payload["x2_moment"] == pytest.approx(1.0, abs=1e-6)
         assert payload["log_energy"] == pytest.approx(-0.25, abs=1e-6)
 
-    def test_vandermonde_has_no_label(self, tmp_path, capsys):
+    def test_vandermonde_has_no_label(self, tmp_path, capsys, two_row_archive):
         out = tmp_path / "v.json"
-        assert main(["vandermonde", "--N", "10", "--label", "x", "-o", str(out)]) == 1
+        assert main(["vandermonde", "--archive", str(two_row_archive), "--label", "x", "-o", str(out)]) == 1
         assert "--label" in capsys.readouterr().err and not out.exists()
 
 
@@ -388,7 +408,7 @@ class TestCli:
 # exactly these values and types, so that no default moves silently.
 DEFAULTS = [
     (["sample", "--N", "5", "--samples", "1", "-o", "a.csv"],
-     {"kind": "gue", "seed": 0, "beta": 0.5, "entry_law": "gaussian", "evolve_t": 0.0, "label": None}),
+     {"kind": "gue", "seed": 0, "beta": 0.5, "entry_law": "gaussian", "label": None}),
     (["evolve", "--N", "5", "--samples", "1", "--t", "0.1", "-o", "a.csv"],
      {"kind": "wigner", "seed": 0, "beta": 0.5, "entry_law": "gaussian", "label": None}),
     (["semicircle", "--archive", "a.csv"],
@@ -405,13 +425,14 @@ DEFAULTS = [
     (["repulsion", "--archive", "a.csv"],
      {"E": 0.0, "eps_grid": "0.9,1.3,1.9,2.6", "wegner_eps": "0.5,1.0,2.0", "K_grid": "1,2,4,8",
       "out": "repulsion.json", "curve_csv": "repulsion_curve.csv"}),
-    (["vandermonde", "--N", "5"], {"samples": 20, "seed": 0, "eta": None, "out": "vandermonde.json"}),
+    (["vandermonde", "--archive", "a.csv"], {"eta": None, "out": "vandermonde.json"}),
     (["report"], {"dir": ".", "out": "report.json"}),
 ]
 
 
-# (subcommand and flag, error line) of statistic parameters that must fail
-# closed on an archive: exit 1, that one line, and no file written
+# (subcommand and flags, error line) of parameters that must fail closed,
+# every command but sample on an archive: exit 1, that one line, and no
+# file written
 BAD_PARAMETERS = [
     (["sine", "--radius=0"], "radius must be finite and positive"),
     (["sine", "--radius=-1"], "radius must be finite and positive"),
@@ -423,7 +444,37 @@ BAD_PARAMETERS = [
     (["repulsion", "--wegner-eps=0,1"], "eps must be finite and positive"),
     (["repulsion", "--K-grid=nan"], "K must be finite"),
     (["vandermonde", "--eta=nan"], "eta must be finite and nonnegative"),
+    (["sine", "--delta=nan"], "delta must be finite and positive"),
+    (["semicircle", "--density-tol=nan"], "density_tol must be finite and nonnegative"),
+    (["semicircle", "--count-tol=nan"], "count_tol must be finite and nonnegative"),
+    (["rigidity", "--location-tol=nan"], "location_tol must be finite and nonnegative"),
+    (["oplocal", "--L=3", "--n=8", "--energy=nan"], "energy must lie in [-1, 1]"),
+    (["sample", "--kind=gue", "--beta=nan", "--N=5", "--samples=1", "-o", "a.csv"], "beta exponent must be finite"),
 ]
+
+
+# A minimal valid run of every subcommand, "{archive}" standing for the
+# two-row archive. The NaN guard sets each float option that build_parser
+# declares on top of it, so a new float option is covered without a new row.
+MINIMAL_RUNS = {
+    "sample": ["--N", "5", "--samples", "1", "-o", "a.csv"],
+    "evolve": ["--N", "5", "--samples", "1", "--t", "0.1", "-o", "a.csv"],
+    "semicircle": ["--archive", "{archive}"],
+    "rigidity": ["--archive", "{archive}"],
+    "window": ["--archive", "{archive}", "--L", "3", "--n", "3"],
+    "oplocal": ["--n", "4", "--scan-points", "3"],
+    "equilibrium": ["--n", "16"],
+    "sine": ["--archive", "{archive}"],
+    "repulsion": ["--archive", "{archive}"],
+    "vandermonde": ["--archive", "{archive}"],
+    "report": [],
+}
+FLOAT_OPTIONS = [(name, action.option_strings[0]) for name, sub in cli.build_parser().commands.items()
+                 for action in sub._actions if action.type is float]
+
+
+def minimal_run(command, archive, *extra):
+    return [command, *(a.replace("{archive}", str(archive)) for a in MINIMAL_RUNS[command]), *extra]
 
 
 @pytest.fixture(scope="module")
@@ -457,7 +508,8 @@ class TestOptions:
     def test_bad_statistic_parameter_fails_closed(self, tmp_path, monkeypatch, capsys, two_row_archive,
                                                   argv, message):
         monkeypatch.chdir(tmp_path)
-        assert main([argv[0], "--archive", str(two_row_archive), *argv[1:]]) == 1
+        archive = [] if argv[0] == "sample" else ["--archive", str(two_row_archive)]
+        assert main([argv[0], *archive, *argv[1:]]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
@@ -501,3 +553,24 @@ class TestOptions:
         assert set(env["blas"]) == {"name", "version"}
         assert set(env["thread_variables"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["numpy"] == np.__version__
+
+
+class TestNanGuard:
+    def test_every_subcommand_has_a_minimal_run(self):
+        assert set(MINIMAL_RUNS) == set(cli.build_parser().commands)
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_RUNS))
+    def test_minimal_run_succeeds(self, tmp_path, monkeypatch, capsys, two_row_archive, command):
+        monkeypatch.chdir(tmp_path)
+        assert main(minimal_run(command, two_row_archive)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag", FLOAT_OPTIONS, ids=[f"{c} {f}" for c, f in FLOAT_OPTIONS])
+    def test_non_finite_float_option_fails_closed(self, tmp_path, monkeypatch, capsys, two_row_archive,
+                                           command, flag, value):
+        monkeypatch.chdir(tmp_path)
+        assert main(minimal_run(command, two_row_archive, f"{flag}={value}")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []

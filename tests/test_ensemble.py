@@ -103,8 +103,9 @@ class TestOUFlow:
 
     def test_negative_time_rejected(self):
         h = en.sample_gue(5, en.sample_stream(1, 0))
-        with pytest.raises(ValueError):
-            en.ou_evolve(h, -0.1, en.sample_stream(1, 1))
+        for t in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                en.ou_evolve(h, t, en.sample_stream(1, 1))
 
     def test_evolve_is_exact_combination(self):
         h0 = en.sample_gue(15, en.sample_stream(30, 0))

@@ -248,7 +248,7 @@ class TestProfile:
         assert max(devs) <= 0.2
 
     def test_equispaced_weight_layout(self):
-        spec = lw.equispaced_weight(8, B=2.0, rho0=0.5)
+        spec = lw.equispaced_weight(8, B=2.0)
         assert spec.roots[0] == -spec.roots[-1]
         gaps = np.diff(spec.roots[spec.roots > 0])
         assert np.allclose(gaps, 2.0 / 8.0)

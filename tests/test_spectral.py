@@ -148,7 +148,7 @@ class TestGoodConfig:
 
     def test_support_clause(self):
         lam = np.concatenate([np.linspace(-1.9, 1.9, 199), [10.0]])
-        rep = sp.good_config_check(lam, sp.GoodConfigParams(K=5.0))
+        rep = sp.good_config_check(lam, K=5.0)
         assert not rep.support_ok
 
 
