@@ -84,7 +84,8 @@ def _write_manifest(args, outputs, started):
         },
         "code_version": __version__,
         "wall_time_s": round(time.time() - started, 3),
-        "seed_scheme": "per-sample Philox streams keyed by SeedSequence(seed, spawn_key=(index,))",
+        "seed_scheme": "gue and wigner: per-sample Philox streams keyed by SeedSequence(seed, spawn_key=(index,)); "
+                       "poisson: rows in order from one PCG64 stream keyed by SeedSequence(seed, spawn_key=(0,))",
         "outputs": {str(p): _digest(p) for p in outputs},
     }
     with open(f"{outputs[0]}.manifest.json", "w") as fh:

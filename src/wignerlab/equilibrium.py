@@ -202,7 +202,9 @@ def levin_lubinsky_report(support, rec, J):
     (a) min/max of the equilibrium density g on a J-covering grid;
     (b) modulus of continuity of Q' = V'/2 at grid resolution;
     (c) min/max of the kernel density rho_n on J;
-    (d) max over E in J, |x| <= 3 of |rho_n(E)/rho_n(E + x/n) - 1|.
+    (d) max over E in J, |x| <= 3 of |rho_n(E)/rho_n(E + x/n) - 1|, with
+        E + x/n clipped to [-1, 1]; a ValueError if rho_n is not positive
+        at every such point.
     """
     a, b = support.a, support.b
     j_lo, j_hi = J
@@ -218,6 +220,9 @@ def levin_lubinsky_report(support, rec, J):
     shifted = grid[:, None] + offsets[None, :] / n
     shifted = np.clip(shifted, -1.0, 1.0)
     rho_shift = op_density(rec, n, shifted.ravel()).reshape(shifted.shape)
+    if not np.all(rho_shift > 0):  # at +-1 the weight's double roots make rho_n 0
+        raise ValueError(f"rho_n vanishes at a point E + x/n (E in J, |x| <= 3) for n = {n}; "
+                         "use a larger n or a narrower J")
     cond_d = float(np.max(np.abs(rho[:, None] / rho_shift - 1.0)))
     return {
         "a": float(support.a),

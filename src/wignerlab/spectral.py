@@ -3,8 +3,10 @@ counting functions, semicircle comparisons, rigidity, repulsion sums, and
 good-configuration classification.
 
 All operations act on plain 1-D float arrays holding a strictly increasing
-spectrum; ``require_spectrum`` is the shared validator. The good-configuration
-thresholds are the constants ``GOOD_*``; only the support bound K is an argument.
+spectrum; ``require_spectrum`` is the shared validator. The rigidity and
+repulsion statistics reduce one array over all bulk pairs. The
+good-configuration thresholds are the constants ``GOOD_*``; only the support
+bound K is an argument.
 """
 
 import math
@@ -119,7 +121,11 @@ def semicircle_cdf(E):
 
 
 def semicircle_cdf_inverse(q):
-    """Inverse of ``semicircle_cdf`` by bracketed Newton iteration."""
+    """Inverse of ``semicircle_cdf`` by bracketed Newton iteration.
+
+    Each point stops at its own convergence, so its value does not depend on
+    the other points of the batch.
+    """
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0) or np.any(q > 1.0):
         raise ValueError("quantile must lie in [0, 1]")
@@ -130,6 +136,7 @@ def semicircle_cdf_inverse(q):
     lo = np.full_like(q, -2.0)
     hi = np.full_like(q, 2.0)
     x = 2.0 * np.sin(math.pi * (q - 0.5) / 2.0)
+    done = np.zeros(q.shape, dtype=bool)
     for _ in range(100):
         f = semicircle_cdf(x) - q
         hi = np.where(f > 0, np.minimum(hi, x), hi)
@@ -139,10 +146,9 @@ def semicircle_cdf_inverse(q):
         xn = x - step
         bad = (xn <= lo) | (xn >= hi) | (d <= 1e-12)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
-        if np.all(np.abs(xn - x) < 1e-13):
-            x = xn
+        x, done = np.where(done, x, xn), done | (np.abs(xn - x) < 1e-13)
+        if np.all(done):
             break
-        x = xn
     x = np.where(q == 0.0, -2.0, x)
     x = np.where(q == 1.0, 2.0, x)
     return float(x[0]) if scalar else x
@@ -282,7 +288,8 @@ def rigidity_check(spectrum, kappa):
     Returns (max_location_dev, max_pair_dev): the worst distance of a bulk
     eigenvalue from its semicircle quantile, and the worst normalized pair
     deviation |N rho_sc(l_a)(l_b - l_a) - (b - a)| over the scaled gauge
-    n^gamma |b-a|^(3/4) + |b-a|^2 / N.
+    n^gamma |b-a|^(3/4) + |b-a|^2 / N, taken over the bulk pairs with
+    0 < b - a <= N n^(-gamma/6) in one array (0 when there are none).
     """
     spectrum = require_spectrum(spectrum)
     N = len(spectrum)
@@ -294,20 +301,12 @@ def rigidity_check(spectrum, kappa):
 
     ngam = window_size(N) ** GOOD_GAMMA
     pair_cap = int(N * window_size(N) ** (-GOOD_GAMMA / 6.0))
-    max_pair = 0.0
-    rho = semicircle_density(lam)
-    for i, a in enumerate(idx[:-1]):
-        b_max = min(a_hi, a + pair_cap)
-        if b_max <= a:
-            continue
-        j = np.arange(i + 1, i + 1 + (b_max - a))
-        gaps = spectrum[idx[j] - 1] - lam[i]
-        k = idx[j] - a
-        dev = np.abs(N * rho[i] * gaps - k) / (ngam * k**0.75 + k**2 / N)
-        m = float(np.max(dev))
-        if m > max_pair:
-            max_pair = m
-    return max_loc, max_pair
+    a, b = np.triu_indices(len(idx), 1)  # positions of the bulk pairs a < b
+    near = b - a <= pair_cap
+    a, b = a[near], b[near]
+    k = b - a
+    dev = np.abs(N * semicircle_density(lam)[a] * (lam[b] - lam[a]) - k) / (ngam * k**0.75 + k**2 / N)
+    return max_loc, float(np.max(dev, initial=0.0))
 
 
 def repulsion_sums(spectrum, kappa):
@@ -315,18 +314,14 @@ def repulsion_sums(spectrum, kappa):
 
     Returns (inverse_square_sum, inverse_sum) where the first is
     N^-1 sum_{l in bulk} sum_{j != l} [N (lambda_j - lambda_l)]^-2 and the
-    second the corresponding first-power absolute sum.
+    second the corresponding first-power absolute sum, both reduced over
+    one (bulk x N) array of scaled differences.
     """
     spectrum = require_spectrum(spectrum)
     N = len(spectrum)
     l_lo, l_hi = _bulk_indices(N, kappa)
-    sq = 0.0
-    ab = 0.0
-    for ell in range(l_lo, l_hi + 1):
-        diffs = N * (spectrum - spectrum[ell - 1])
-        diffs = diffs[diffs != 0.0]
-        if len(diffs) != N - 1:
-            raise ValueError("coincident eigenvalues")
-        sq += float(np.sum(diffs**-2.0))
-        ab += float(np.sum(np.abs(diffs) ** -1.0))
-    return sq / N, ab / N
+    bulk = np.arange(l_lo - 1, l_hi)
+    diffs = N * (spectrum - spectrum[bulk, None])
+    # the self term j = l becomes infinite, so it adds exactly 0 to both sums
+    diffs[np.arange(len(bulk)), bulk] = np.inf
+    return float(np.sum(diffs**-2.0)) / N, float(np.sum(np.abs(diffs) ** -1.0)) / N

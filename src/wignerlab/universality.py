@@ -3,7 +3,8 @@ reference and kernel-limit scan, level repulsion / Wegner / gap-tail
 curves, and the 3/4 energy constant of the log-gas.
 
 Archive-based estimators consume (samples, N) arrays of ascending spectra
-and reduce per-sample statistics to ensemble averages.
+and reduce per-sample statistics to ensemble averages; within a sample,
+each statistic is one array reduction.
 """
 
 import math
@@ -112,7 +113,9 @@ def two_point_estimator(archive, E0, delta, obs):
     (N/(N-1)) sum_{j != k} (2 delta)^-1 int_(E0-delta)^(E0+delta)
         g((l_j - l_k) N rho) h(((l_j + l_k)/2 - E) N rho) dE
     with rho = rho_sc(E0) (the O(delta) center simplification) and the
-    energy average done by a 33-node Gauss rule. The reference
+    energy average done by a 33-node Gauss rule: per sample, h is evaluated
+    at all nodes in one (nodes x m x m) array over the m eigenvalues near
+    the window and contracted with the rule's weights. The reference
     field carries the sine-kernel prediction int g (1 - sinc^2).
     """
     data = _as_data(archive)
@@ -137,18 +140,11 @@ def two_point_estimator(archive, E0, delta, obs):
     for i in range(samples):
         lam = data[i]
         sub = lam[np.searchsorted(lam, lo) : np.searchsorted(lam, hi, side="right")]
-        if len(sub) < 2:
-            vals[i] = 0.0
-            continue
-        diffs = (sub[:, None] - sub[None, :]) * (N * rho)
-        gv = np.asarray(obs.g(diffs))
+        gv = np.asarray(obs.g((sub[:, None] - sub[None, :]) * (N * rho)))
         np.fill_diagonal(gv, 0.0)
         centers = (sub[:, None] + sub[None, :]) / 2.0
-        acc = 0.0
-        for e, wq in zip(e_nodes, e_weights):
-            hv = np.asarray(obs.h((centers - e) * (N * rho)))
-            acc += wq * float(np.sum(gv * hv))
-        vals[i] = acc * N / (N - 1)
+        hv = np.asarray(obs.h((centers - e_nodes[:, None, None]) * (N * rho)))
+        vals[i] = float(np.sum(gv * hv, axis=(1, 2)) @ e_weights) * N / (N - 1)
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return CorrelationEstimate(
@@ -201,8 +197,10 @@ def level_repulsion_curve(archive, E, eps_grid, min_hits=20):
     """Empirical P(at least two eigenvalues in [E - eps/2N, E + eps/2N])
     with a weighted log-log exponent fit.
 
-    Weights come from Wilson intervals on each probability; bins with fewer
-    than ``min_hits`` hits are excluded from the fit (reported, not thrown).
+    ``np.polyfit`` weights each log p by 1/sigma, sigma its Wilson
+    half-width at z = 1 over p. Bins with fewer than ``min_hits`` hits are
+    excluded from the fit (reported, not thrown); with fewer than two left
+    the exponent is NaN and its stderr infinite.
     """
     data = _as_data(archive)
     samples = data.shape[0]
@@ -220,17 +218,9 @@ def level_repulsion_curve(archive, E, eps_grid, min_hits=20):
     x = np.log(eps_grid[use])
     y = np.log(p)
     # Wilson half-width at z = 1 converted to a log-scale sigma
-    z = 1.0
-    nn = samples
-    half = (z * np.sqrt(p * (1 - p) / nn + z**2 / (4 * nn**2))) / (1 + z**2 / nn)
-    sigma = half / p
-    wts = 1.0 / sigma**2
-    W = np.sum(wts)
-    xb = np.sum(wts * x) / W
-    yb = np.sum(wts * y) / W
-    sxx = np.sum(wts * (x - xb) ** 2)
-    slope = np.sum(wts * (x - xb) * (y - yb)) / sxx
-    return RepulsionCurve(eps_grid, probs, hits, float(slope), float(math.sqrt(1.0 / sxx)))
+    half = np.sqrt(p * (1 - p) / samples + 1 / (4 * samples**2)) / (1 + 1 / samples)
+    coef, cov = np.polyfit(x, y, 1, w=p / half, cov="unscaled")
+    return RepulsionCurve(eps_grid, probs, hits, float(coef[0]), float(math.sqrt(cov[0, 0])))
 
 
 def wegner_statistic(archive, E, eps):

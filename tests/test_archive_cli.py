@@ -17,6 +17,8 @@ from wignerlab.ensemble import EnsembleConfig, ou_evolve, sample_gue, sample_str
 from wignerlab.generate import generate_archive
 from wignerlab.spectral import eigenvalues
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # (file name, bytes) of archives that load_archive must reject
 MALFORMED = [
     ("nan.csv", b"3,2,gue\n-1,nan,1\n-1,0,1\n"),
@@ -158,6 +160,11 @@ class TestGenerate:
                 h = ou_evolve(h, kwargs["evolve_time"], stream)
             assert np.array_equal(arc.data[i], eigenvalues(h))
         assert np.array_equal(generate_archive(kind, N, 2, seed, **kwargs).data, arc.data[:2])
+
+    def test_poisson_rows_do_not_depend_on_row_count(self):
+        # each point's quantile inversion stops on its own, not with the batch
+        many = generate_archive("poisson", 400, 2000, 3)
+        assert np.array_equal(generate_archive("poisson", 400, 2, 3).data, many.data[:2])
 
 
 class TestCli:
@@ -346,6 +353,14 @@ class TestCli:
         assert main([command, "--n", n]) == 1
         err = capsys.readouterr().err
         assert err == "error: window size must be positive\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_equilibrium_vanishing_density_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        # at --n 4 condition (d) reaches +-1, where rho_n is 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["equilibrium", "--n", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho_n vanishes") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_root_cap_applies_to_archive_window(self, tmp_path, monkeypatch):
@@ -541,6 +556,12 @@ class TestOptions:
         assert again.read_bytes() == out.read_bytes()
         replay = json.loads((tmp_path / "again.csv.manifest.json").read_text())["config"]
         assert replay == {**config, "out": str(again)}
+
+    def test_manifest_names_both_seed_schemes(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["sample", "--kind", "poisson", "--N", "5", "--samples", "2", "-o", str(out)]) == 0
+        scheme = json.loads((tmp_path / "p.csv.manifest.json").read_text())["seed_scheme"]
+        assert "Philox" in scheme and "poisson: rows in order from one PCG64 stream" in scheme
 
     def test_manifest_environment_keys(self, tmp_path):
         out = tmp_path / "a.csv"

@@ -6,6 +6,8 @@ from wignerlab import localwindow as lw
 from wignerlab import orthopoly as op
 from wignerlab.spectral import semicircle_density
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def quadratic_potential():
@@ -100,6 +102,15 @@ class TestLevinLubinskyReport:
         assert 0.3 <= cond["c"]["min"] <= cond["c"]["max"] <= 1.2
         assert cond["a"]["min"] > 0
         assert report["a"] < -0.9 and report["b"] > 0.9
+
+    def test_vanishing_shifted_density_rejected(self):
+        # at n = 4 the points E + x/n of J = [-0.8, 0.8] reach +-1, where the
+        # weight's double roots make rho_n 0; condition (d) would be infinite
+        weight = lw.equispaced_weight(4, B=2.0)
+        quad = op.build_quadrature(weight, 5, margin=64)
+        rec = op.stieltjes_recurrence(weight, quad, 5)
+        with pytest.raises(ValueError, match="rho_n vanishes"):
+            eq.levin_lubinsky_report(eq.solve_endpoints(weight), rec, (-0.8, 0.8))
 
     def test_interior_interval_required(self, equispaced64):
         _, support, rec = equispaced64

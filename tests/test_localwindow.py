@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from wignerlab import localwindow as lw
 from wignerlab import spectral as sp
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def quantile_spectrum():

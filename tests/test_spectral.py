@@ -181,6 +181,27 @@ class TestRigidity:
         with pytest.raises(ValueError):
             sp.rigidity_check(lam, 0.99)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("N", [50, 400])
+    @pytest.mark.parametrize("kappa", [0.1, 0.3])
+    def test_max_pair_matches_double_loop(self, N, kappa):
+        # brute force over the bulk pairs (a, b), 0 < b - a <= pair cap, with
+        # the same float expression per pair: the maximum must be equal
+        lam = sp.eigenvalues(en.sample_gue(N, en.sample_stream(17, N)))
+        lo = math.ceil(N * kappa**1.5)
+        hi = math.floor(N * (1 - kappa**1.5))
+        n = sp.window_size(N)
+        ngam = n**sp.GOOD_GAMMA
+        cap = int(N * n ** (-sp.GOOD_GAMMA / 6.0))
+        rho = sp.semicircle_density(lam)
+        brute = 0.0
+        for a in range(lo, hi + 1):
+            for b in range(a + 1, min(hi, a + cap) + 1):
+                k = np.int64(b - a)
+                dev = abs(N * rho[a - 1] * (lam[b - 1] - lam[a - 1]) - k) / (ngam * k**0.75 + k**2 / N)
+                brute = max(brute, float(dev))
+        assert sp.rigidity_check(lam, kappa)[1] == brute
+
 
 class TestRepulsionSums:
     def test_two_point_hand_value(self):

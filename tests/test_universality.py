@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
+from wignerlab import ensemble as en
 from wignerlab import localwindow as lw
 from wignerlab import orthopoly as op
 from wignerlab import spectral as sp
@@ -81,6 +82,33 @@ class TestTwoPointEstimator:
         a = un.two_point_estimator(Archive(N=100, label="s", data=rows), 0.0, 0.2, obs)
         b = un.two_point_estimator(Archive(N=100, label="s", data=shuffled), 0.0, 0.2, obs)
         assert a.value == b.value
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_direct_pair_and_node_loop(self):
+        # the defining double sum over all pairs j != k of each sample and
+        # all 33 energy nodes, with no window trimming
+        N, E0, delta = 60, 0.1, 0.2
+        data = np.array([sp.eigenvalues(en.sample_gue(N, en.sample_stream(5, i))) for i in range(5)])
+        obs = un.bump_observable(3.0)
+        est = un.two_point_estimator(Archive(N=N, label="s", data=data), E0, delta, obs)
+        scale = N * sp.semicircle_density(E0)
+        xs, ws = np.polynomial.legendre.leggauss(33)
+        vals = []
+        for lam in data:
+            total = 0.0
+            for j in range(N):
+                for k in range(N):
+                    if j == k:
+                        continue
+                    gv = float(obs.g((lam[j] - lam[k]) * scale))
+                    if gv == 0.0:  # the pair is farther apart than the support of g
+                        continue
+                    for x, w in zip(xs, ws):
+                        e = E0 + delta * x
+                        total += w / 2.0 * gv * float(obs.h(((lam[j] + lam[k]) / 2.0 - e) * scale))
+            vals.append(total * N / (N - 1))
+        assert est.value == pytest.approx(np.mean(vals), rel=1e-12)
+        assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(5), rel=1e-12)
 
     def test_edge_window_rejected(self, gue400):
         obs = un.bump_observable(3.0)
