@@ -178,6 +178,10 @@ def cmd_window(args, started):
         "half_width": res.half_width,
         "internal": [float(v) for v in res.internal_rescaled],
         "external_rescaled": [float(v) for v in res.external_rescaled],
+        "tail_split": dict(zip(("sup_v2_prime", "density_ratio_dev"), lw.tail_split_check(win, args.B))),
+        "profile_deviation": lw.window_profile_deviation(win, res),
+        # against the flat density 1/2 that the rescaling to [-1, 1] targets
+        "assumptions": {"density": 0.5, **lw.assumption_checks(res, lambda x: 0.5)},
     }
     _emit(args, started, payload, [args.out], echo=f"wrote window dump to {args.out}")
 

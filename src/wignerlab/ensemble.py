@@ -1,5 +1,7 @@
 """Wigner/GUE sampling, the matrix Ornstein-Uhlenbeck flow, the eigenvalue
 SDE (Dyson Brownian motion), and the explicit eigenvalue transition kernel.
+The entry laws are ``ENTRY_LAWS``; the log-gas energy of a spectrum is
+N^2 ``universality.vandermonde_statistic`` at eta = 0.
 
 Matrix entries follow the 1/sqrt(N) normalization: off-diagonal real and
 imaginary parts have variance 1/2 and diagonals variance 1 before scaling,
@@ -9,13 +11,13 @@ sample i of a seeded sweep does not depend on the other samples.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import require_spectrum
 
-ENTRY_LAWS = ("gaussian", "uniform", "rademacher-smoothed", "custom-density")
+ENTRY_LAWS = ("gaussian", "uniform", "rademacher-smoothed")
 
 _RADEMACHER_SMOOTH = 0.5  # Gaussian smoothing width before renormalization
 
@@ -82,15 +84,12 @@ class EnsembleConfig:
     N: int
     beta_exponent: float = 0.5
     entry_law: str = "gaussian"
-    custom_sampler: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("dimension must be positive")
         if self.entry_law not in ENTRY_LAWS:
             raise ValueError(f"unknown entry law {self.entry_law!r}")
-        if self.entry_law == "custom-density" and self.custom_sampler is None:
-            raise ValueError("custom-density requires a custom_sampler")
         s2 = self.gaussian_variance
         if not (0.0 < s2 <= 1.0):
             raise ValueError(f"s^2 = N^(-3/4+beta) = {s2:g} outside (0, 1]")
@@ -100,7 +99,7 @@ class EnsembleConfig:
         return float(self.N) ** (-0.75 + self.beta_exponent)
 
 
-def _standardized_draw(law, rng, size, custom_sampler=None):
+def _standardized_draw(law, rng, size):
     """Mean-0 variance-1 draws from the named entry law."""
     if law == "gaussian":
         return rng.standard_normal(size)
@@ -110,17 +109,15 @@ def _standardized_draw(law, rng, size, custom_sampler=None):
         r = rng.integers(0, 2, size) * 2.0 - 1.0
         g = rng.standard_normal(size)
         return (r + _RADEMACHER_SMOOTH * g) / math.sqrt(1.0 + _RADEMACHER_SMOOTH**2)
-    if law == "custom-density":
-        return np.asarray(custom_sampler(rng, size), dtype=float)
     raise ValueError(f"unknown entry law {law!r}")
 
 
-def _packed_hermitian(N, law, rng, custom_sampler=None):
+def _packed_hermitian(N, law, rng):
     """Packed upper triangle with off-diagonal component sd 1/sqrt(2),
     diagonal sd 1, all scaled by 1/sqrt(N)."""
     m = N * (N + 1) // 2
-    re = _standardized_draw(law, rng, m, custom_sampler)
-    im = _standardized_draw(law, rng, m, custom_sampler)
+    re = _standardized_draw(law, rng, m)
+    im = _standardized_draw(law, rng, m)
     packed = (re + 1j * im) / math.sqrt(2.0)
     diag_idx = _diag_indices(N)
     packed[diag_idx] = re[diag_idx]  # real diagonal, variance 1
@@ -137,7 +134,7 @@ def sample_gue(N, stream):
 def sample_wigner(config, stream):
     """Wigner matrix with a Gaussian component: (1-s^2)^(1/2) Hhat + s V."""
     s2 = config.gaussian_variance
-    hhat = _packed_hermitian(config.N, config.entry_law, stream, config.custom_sampler)
+    hhat = _packed_hermitian(config.N, config.entry_law, stream)
     v = sample_gue(config.N, stream)
     packed = math.sqrt(1.0 - s2) * hhat.packed + math.sqrt(s2) * v.packed
     return HermitianMatrix(config.N, packed)
@@ -220,13 +217,6 @@ def log_vandermonde(values, eta=0.0):
             raise ValueError("coincident values with eta = 0")
         return float(np.sum(np.log(np.abs(gaps))))
     return float(0.5 * np.sum(np.log(gaps**2 + eta**2)))
-
-
-def hamiltonian_energy(spectrum):
-    """Log-gas energy N [ sum lambda_i^2 / 2 - (2/N) sum_{i<j} log |lambda_j - lambda_i| ]."""
-    lam = require_spectrum(spectrum)
-    N = len(lam)
-    return float(N * (np.sum(lam**2) / 2.0 - (2.0 / N) * log_vandermonde(lam)))
 
 
 def transition_kernel_logdensity(lam, nu, s):

@@ -1,10 +1,12 @@
 """Window decomposition of a spectrum into internal and external points,
-rescaling to [-1, 1], and the cutoff external potential.
+rescaling to [-1, 1], the cutoff external potential, and the window
+diagnostics that the ``window`` command reports.
 
 The n internal points after index L live strictly inside the interval
 bounded by the two nearest external points; the affine rescaling maps those
-bounding points exactly to -1 and +1. Retained external points (each a
-double root of the polynomial weight) generate the log potential
+bounding points exactly to -1 and +1. Externals with |k| >= n^B
+(``cutoff_index``, the one owner of n^B) are dropped; the retained ones
+(each a double root of the polynomial weight) generate the log potential
 U(x) = -(2/n) sum_k log |x - y_k|. ``WeightSpec`` is the one place that sums
 over those roots: log w, U, U' and the difference quotient
 [U'(s) - U'(x)]/(s - x), which the kernel identities and the equilibrium
@@ -117,6 +119,16 @@ class WeightSpec:
         return out if out.ndim else float(out)
 
 
+def cutoff_index(n, B):
+    """The external cutoff int(n^B): externals with |k| >= n^B are dropped."""
+    if not math.isfinite(B):
+        raise ValueError("B must be finite")
+    try:
+        return int(n**B)
+    except OverflowError:
+        raise ValueError(f"cutoff n^B overflows at n = {n}, B = {B:g}") from None
+
+
 def extract_window(spectrum, L, n):
     """Partition a spectrum into internal points lambda_(L+1..L+n) and
     relabeled external points; both bounding externals must exist."""
@@ -137,14 +149,12 @@ def extract_window(spectrum, L, n):
 def rescale(window, B, root_cap=DEFAULT_ROOT_CAP):
     """Affine map of the window onto [-1, 1], dropping externals with
     |k| >= n^B (and beyond ``root_cap`` per side)."""
-    if not math.isfinite(B):
-        raise ValueError("B must be finite")
+    keep = cutoff_index(window.n, B)
     lo, hi = window.window
     if not hi > lo:
         raise ValueError("degenerate window")
     center = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
-    keep = int(window.n**B)
     if root_cap is not None:
         keep = min(keep, root_cap)
     keep = max(keep, 1)
@@ -179,24 +189,13 @@ def equispaced_weight(n, B=2.0, root_cap=DEFAULT_ROOT_CAP):
     to the |k| < n^B cutoff, the idealized flat-density configuration."""
     if n < 1:
         raise ValueError("window size must be positive")
-    if not math.isfinite(B):
-        raise ValueError("B must be finite")
-    count = int(n**B) - 1
+    count = cutoff_index(n, B) - 1
     if root_cap is not None:
         count = min(count, root_cap)
     j = np.arange(count + 1)  # j = 0 is the bounding point at +-1
     right = 1.0 + j / (n * 0.5)
     roots = np.concatenate([-right[::-1], right])
     return WeightSpec(n=n, roots=roots)
-
-
-def potential_value_and_derivatives(spec, x):
-    """(U, U', U'') of the cutoff potential at an interior point."""
-    if not -1.0 < x < 1.0:
-        raise ValueError("x must lie strictly inside (-1, 1)")
-    if np.any(spec.roots == x):
-        raise ValueError("x coincides with a weight root")
-    return spec.potential(x), spec.potential_derivative(x), spec.derivative_quotient(x, x)
 
 
 def tail_split_check(window, B):
@@ -212,7 +211,7 @@ def tail_split_check(window, B):
     n = window.n
     # total particle count: internals + externals (+0 for the point itself)
     N = n + len(window.external_left) + len(window.external_right)
-    cut = int(n**B)
+    cut = cutoff_index(n, B)
     far_left = window.external_left[::-1][cut:]
     far_right = window.external_right[cut:]
     far = np.concatenate([far_left, far_right])
@@ -233,6 +232,8 @@ def assumption_checks(rescaled, density_fn, A=3.0):
     externals (sup over [-1,1], attained at an endpoint by convexity), the
     weighted edge integral of ``density_fn`` over [-1+n^-A, 1-n^-A], and
     the reference scalings n^(1+3*gamma), n^(4*gamma) at gamma = 1/10.
+    ``density_fn`` is called once, on the array of quadrature nodes; a
+    constant it returns is broadcast.
     """
     n = len(rescaled.internal_rescaled)
     others = np.concatenate([rescaled.external_left[1:], rescaled.external_right[1:]])
@@ -241,7 +242,7 @@ def assumption_checks(rescaled, density_fn, A=3.0):
     a, b = -1.0 + delta, 1.0 - delta
     rule = gauss_legendre(2000, half_width=(b - a) / 2.0)  # a == -b
     xs = rule.nodes
-    vals = np.asarray([density_fn(x) for x in xs], dtype=float)
+    vals = np.asarray(density_fn(xs), dtype=float)
     edge_integral = float(np.sum(rule.weights * ((xs + 1.0) ** -2.0 + (1.0 - xs) ** -2.0) * vals))
     gamma = 0.1
     return {
@@ -258,11 +259,14 @@ def window_profile_deviation(window, rescaled):
     The predicted rescaled positions continue the window's mean spacing
     outward from +-1 at the semicircle density of the window center:
     |y_k| ~ 1 + (k - 1) * 2/(N rho0 |I|). Returns the max relative
-    deviation over indices n <= k <= n^2 on both sides.
+    deviation over indices n <= k <= n^2 on both sides, or None when the
+    window center lies outside [-2, 2], where rho0 = 0 predicts no profile.
     """
     n = window.n
     N = n + len(window.external_left) + len(window.external_right)
     rho0 = semicircle_density((window.window[0] + window.window[1]) / 2.0)
+    if rho0 == 0.0:
+        return None
     spacing = 2.0 / (N * rho0 * window.width)
     devs = []
     for side in (rescaled.external_left, rescaled.external_right):

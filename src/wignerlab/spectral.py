@@ -144,7 +144,8 @@ def semicircle_cdf_inverse(q):
         d = semicircle_density(x)
         step = np.where(d > 1e-12, f / np.maximum(d, 1e-300), 0.0)
         xn = x - step
-        bad = (xn <= lo) | (xn >= hi) | (d <= 1e-12)
+        # a step onto a bracket end is kept: bisecting would restart a converged point
+        bad = (xn < lo) | (xn > hi) | (d <= 1e-12)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
         x, done = np.where(done, x, xn), done | (np.abs(xn - x) < 1e-13)
         if np.all(done):

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerlab import cli
+from wignerlab import localwindow as lw
 from wignerlab.archive import MAGIC, Archive, ArchiveFormatError, load_archive, save_archive
 from wignerlab.cli import main
 from wignerlab.ensemble import EnsembleConfig, ou_evolve, sample_gue, sample_stream, sample_wigner
 from wignerlab.generate import generate_archive
 from wignerlab.spectral import eigenvalues
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # (file name, bytes) of archives that load_archive must reject
 MALFORMED = [
@@ -321,8 +321,16 @@ class TestCli:
         assert main(["window", "--archive", str(arc), "--L", "55", "--n", "9",
                      "--B", "2", "-o", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert set(payload) == {"L", "n", "B", "center", "half_width", "internal", "external_rescaled"}
+        assert set(payload) == {"L", "n", "B", "center", "half_width", "internal", "external_rescaled",
+                                "tail_split", "profile_deviation", "assumptions"}
         assert len(payload["internal"]) == 9
+        # the diagnostics are the library's, on the same window at the same B
+        win = lw.extract_window(load_archive(str(arc)).data[0], 55, 9)
+        res = lw.rescale(win, 2.0)
+        sup, ratio = lw.tail_split_check(win, 2.0)
+        assert payload["tail_split"] == {"sup_v2_prime": sup, "density_ratio_dev": ratio}
+        assert payload["profile_deviation"] == lw.window_profile_deviation(win, res)
+        assert payload["assumptions"] == {"density": 0.5, **lw.assumption_checks(res, lambda x: 0.5)}
 
     def test_oplocal_small_profile(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -464,6 +472,9 @@ BAD_PARAMETERS = [
     (["semicircle", "--count-tol=nan"], "count_tol must be finite and nonnegative"),
     (["rigidity", "--location-tol=nan"], "location_tol must be finite and nonnegative"),
     (["oplocal", "--L=3", "--n=8", "--energy=nan"], "energy must lie in [-1, 1]"),
+    (["window", "--L=3", "--n=3", "--B=1000"], "cutoff n^B overflows at n = 3, B = 1000"),
+    (["oplocal", "--L=3", "--n=3", "--B=1000"], "cutoff n^B overflows at n = 3, B = 1000"),
+    (["equilibrium", "--L=3", "--n=3", "--B=1000"], "cutoff n^B overflows at n = 3, B = 1000"),
     (["sample", "--kind=gue", "--beta=nan", "--N=5", "--samples=1", "-o", "a.csv"], "beta exponent must be finite"),
 ]
 

@@ -31,10 +31,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             en.EnsembleConfig(N=10, entry_law="cauchy")
 
-    def test_custom_law_requires_sampler(self):
-        with pytest.raises(ValueError):
-            en.EnsembleConfig(N=10, entry_law="custom-density")
-
 
 class TestSampling:
     def test_scalar_wigner_is_standard_normal(self):
@@ -66,15 +62,6 @@ class TestSampling:
                 en.sample_wigner(cfg, en.sample_stream(8, i)).trace_square() for i in range(60)
             ]
             assert abs(np.mean(traces) - 300.0) < 1.0
-
-    def test_custom_sampler_used(self):
-        cfg = en.EnsembleConfig(
-            N=50,
-            entry_law="custom-density",
-            custom_sampler=lambda rng, size: rng.uniform(-math.sqrt(3), math.sqrt(3), size),
-        )
-        h = en.sample_wigner(cfg, en.sample_stream(9, 0))
-        assert h.dim == 50
 
     def test_spectrum_support(self, gue2000):
         vals = gue2000.data[0]
@@ -259,16 +246,3 @@ class TestTransitionKernel:
         nu = lam * 0.95
         val = en.transition_kernel_logdensity(lam, nu, 0.01)
         assert np.isfinite(val)
-
-
-class TestHamiltonian:
-    def test_hand_value(self):
-        assert en.hamiltonian_energy(np.array([-1.0, 1.0])) == pytest.approx(2.0 - 2.0 * math.log(2.0))
-
-    def test_coincident_rejected(self):
-        with pytest.raises(ValueError):
-            en.hamiltonian_energy(np.array([0.0, 0.0]))
-
-    def test_normalized_energy_near_three_quarters(self, gue400_small):
-        vals = [en.hamiltonian_energy(row) / 400.0**2 for row in gue400_small.data]
-        assert abs(np.mean(vals) - 0.75) < 0.03

@@ -6,8 +6,6 @@ from wignerlab import localwindow as lw
 from wignerlab import orthopoly as op
 from wignerlab.spectral import semicircle_density
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def quadratic_potential():

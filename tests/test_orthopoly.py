@@ -7,8 +7,6 @@ import pytest
 from wignerlab import localwindow as lw
 from wignerlab import orthopoly as op
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def legendre():

