@@ -18,6 +18,7 @@ success, 1 validation error, 2 numerical failure.
 import argparse
 import glob
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -26,7 +27,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import equilibrium as eqm
@@ -77,7 +77,7 @@ def _write_manifest(args, outputs, started):
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),  # without importing scipy
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "cpu_count": os.cpu_count(),
             "thread_variables": {v: os.environ.get(v) for v in threads},

@@ -120,13 +120,20 @@ class WeightSpec:
 
 
 def cutoff_index(n, B):
-    """The external cutoff int(n^B): externals with |k| >= n^B are dropped."""
+    """The external cutoff int(n^B): externals with |k| >= n^B are dropped.
+
+    A cutoff below 1 would drop even the bounding points at +-1, so it is a
+    ValueError, like an overflowing one.
+    """
     if not math.isfinite(B):
         raise ValueError("B must be finite")
     try:
-        return int(n**B)
+        cut = int(n**B)
     except OverflowError:
         raise ValueError(f"cutoff n^B overflows at n = {n}, B = {B:g}") from None
+    if cut < 1:
+        raise ValueError(f"cutoff n^B is below 1 at n = {n}, B = {B:g}")
+    return cut
 
 
 def extract_window(spectrum, L, n):
@@ -157,7 +164,7 @@ def rescale(window, B, root_cap=DEFAULT_ROOT_CAP):
     half = (hi - lo) / 2.0
     if root_cap is not None:
         keep = min(keep, root_cap)
-    keep = max(keep, 1)
+    keep = max(keep, 1)  # a root cap below 1 still keeps the bounding points
 
     def t(v):
         return (v - center) / half
@@ -259,8 +266,9 @@ def window_profile_deviation(window, rescaled):
     The predicted rescaled positions continue the window's mean spacing
     outward from +-1 at the semicircle density of the window center:
     |y_k| ~ 1 + (k - 1) * 2/(N rho0 |I|). Returns the max relative
-    deviation over indices n <= k <= n^2 on both sides, or None when the
-    window center lies outside [-2, 2], where rho0 = 0 predicts no profile.
+    deviation over indices n <= k <= n^2 on both sides, or None when
+    nothing is compared: the window center lies outside [-2, 2], where
+    rho0 = 0 predicts no profile, or no retained root has such an index.
     """
     n = window.n
     N = n + len(window.external_left) + len(window.external_right)
@@ -276,4 +284,4 @@ def window_profile_deviation(window, rescaled):
             continue
         expect = 1.0 + (ks[mask] - 1) * spacing
         devs.append(np.max(np.abs(np.abs(side[mask]) - expect) / expect))
-    return float(max(devs)) if devs else 0.0
+    return float(max(devs)) if devs else None

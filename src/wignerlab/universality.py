@@ -5,13 +5,14 @@ curves, and the 3/4 energy constant of the log-gas.
 Archive-based estimators consume (samples, N) arrays of ascending spectra
 and reduce per-sample statistics to ensemble averages; within a sample,
 each statistic is one array reduction.
+The energy constant is checked by quadrature: a fixed rule for the outer
+integral, QUADPACK's algebraic-log weights for the log-singular inner one.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ensemble import log_vandermonde
 from .orthopoly import gauss_legendre, kernel_matrix
@@ -270,30 +271,30 @@ def semicircle_constants_check():
 
     Returns (x2_moment, log_energy, combo) ~ (1, -1/4, 3/4): the second
     moment of the semicircle law, the double logarithmic energy integral,
-    and (1/2) x2_moment - log_energy.
+    and (1/2) x2_moment - log_energy. Both outer integrals run on one
+    200-node rule in theta, x = 2 sin(theta), rho_sc(x) dx =
+    (2/pi) cos^2(theta) dtheta. The inner integral of log|x - y| rho_sc(y)
+    is split at y = x, and each half goes to QUADPACK with the algebraic-log
+    weight that carries both its log singularity and its square-root edge.
     """
-    # second moment via the smooth x = 2 sin(theta) substitution
+    from scipy.integrate import quad  # the one scipy user; kept off the import path
+
     rule = gauss_legendre(200, half_width=math.pi / 2.0)
     theta = rule.nodes
-    x2 = float(np.sum(rule.weights * (2.0 * np.sin(theta)) ** 2 * (2.0 / math.pi) * np.cos(theta) ** 2))
+    xs = 2.0 * np.sin(theta)
+    outer = rule.weights * (2.0 / math.pi) * np.cos(theta) ** 2
+    x2 = float(np.sum(outer * xs**2))
 
     def inner(x):
-        val, _ = quad(
-            lambda y: math.log(abs(x - y)) * semicircle_density(y),
-            -2.0,
-            2.0,
-            points=[x],
-            limit=200,
-            epsabs=1e-11,
-            epsrel=1e-11,
-        )
-        return val
+        # log(y - x) sqrt(2 - y) on [x, 2] and log(x - y) sqrt(2 + y) on [-2, x]
+        right, _ = quad(lambda y: math.sqrt(2.0 + y) / (2.0 * math.pi), x, 2.0,
+                        weight="alg-loga", wvar=(0.0, 0.5), epsabs=1e-13, epsrel=1e-13)
+        left, _ = quad(lambda y: math.sqrt(2.0 - y) / (2.0 * math.pi), -2.0, x,
+                       weight="alg-logb", wvar=(0.5, 0.0), epsabs=1e-13, epsrel=1e-13)
+        return right + left
 
-    log_energy, _ = quad(
-        lambda x: inner(x) * semicircle_density(x), -2.0, 2.0, limit=200, epsabs=1e-9, epsrel=1e-9
-    )
-    combo = 0.5 * x2 - log_energy
-    return x2, float(log_energy), float(combo)
+    log_energy = float(np.sum(outer * np.array([inner(x) for x in xs])))
+    return x2, log_energy, 0.5 * x2 - log_energy
 
 
 def poisson_spectra(N, samples, seed):

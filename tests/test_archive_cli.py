@@ -2,11 +2,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -332,6 +336,13 @@ class TestCli:
         assert payload["profile_deviation"] == lw.window_profile_deviation(win, res)
         assert payload["assumptions"] == {"density": 0.5, **lw.assumption_checks(res, lambda x: 0.5)}
 
+    def test_window_without_profile_roots_reports_null(self, tmp_path, two_row_archive):
+        # B = 0 keeps only the two bounding points, so no profile is compared
+        out = tmp_path / "w.json"
+        assert main(["window", "--archive", str(two_row_archive), "--L", "3", "--n", "3",
+                     "--B", "0", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["profile_deviation"] is None
+
     def test_oplocal_small_profile(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "op.json"
@@ -475,6 +486,9 @@ BAD_PARAMETERS = [
     (["window", "--L=3", "--n=3", "--B=1000"], "cutoff n^B overflows at n = 3, B = 1000"),
     (["oplocal", "--L=3", "--n=3", "--B=1000"], "cutoff n^B overflows at n = 3, B = 1000"),
     (["equilibrium", "--L=3", "--n=3", "--B=1000"], "cutoff n^B overflows at n = 3, B = 1000"),
+    (["window", "--L=3", "--n=3", "--B=-1"], "cutoff n^B is below 1 at n = 3, B = -1"),
+    (["oplocal", "--L=3", "--n=3", "--B=-1"], "cutoff n^B is below 1 at n = 3, B = -1"),
+    (["equilibrium", "--L=3", "--n=3", "--B=-1"], "cutoff n^B is below 1 at n = 3, B = -1"),
     (["sample", "--kind=gue", "--beta=nan", "--N=5", "--samples=1", "-o", "a.csv"], "beta exponent must be finite"),
 ]
 
@@ -585,6 +599,17 @@ class TestOptions:
         assert set(env["blas"]) == {"name", "version"}
         assert set(env["thread_variables"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+
+    def test_cli_import_loads_no_scipy_submodule(self):
+        # scipy.integrate costs about half a second of every process start;
+        # only semicircle_constants_check imports it, on first call
+        code = "import json, sys, wignerlab.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                                            os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        loaded = json.loads(out.stdout)
+        assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
 
 
 class TestNanGuard:

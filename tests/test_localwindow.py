@@ -96,6 +96,10 @@ class TestRescale:
             lw.cutoff_index(3, 1000.0)
         with pytest.raises(ValueError, match="finite"):
             lw.cutoff_index(3, float("nan"))
+        # below 1 it would drop even the bounding points; B = 0 is the cutoff 1
+        with pytest.raises(ValueError, match="below 1"):
+            lw.cutoff_index(3, -1.0)
+        assert lw.cutoff_index(3, 0.0) == 1
         win = lw.extract_window(np.arange(9.0), 3, 3)
         with pytest.raises(ValueError, match="overflows"):
             lw.rescale(win, 1000.0)
@@ -271,6 +275,13 @@ class TestProfile:
         gaps = np.diff(spec.roots[spec.roots > 0])
         assert np.allclose(gaps, 2.0 / 8.0)
         assert np.min(spec.roots[spec.roots > 0]) == 1.0
+
+    def test_no_profile_without_a_compared_root(self):
+        # B = 0 keeps only the bounding points (k = 1 < n), so nothing is compared
+        row = np.sort(np.random.default_rng(0).standard_normal(20)) / np.sqrt(5.0)
+        win = lw.extract_window(row, 3, 3)
+        assert lw.window_profile_deviation(win, lw.rescale(win, 0.0)) is None
+        assert lw.window_profile_deviation(win, lw.rescale(win, 2.0)) is not None
 
     def test_no_profile_outside_the_support(self):
         # a window centered at 3.5 has rho_sc = 0 there, so no spacing is predicted

@@ -69,6 +69,45 @@ class TestQuadrature:
             exact = (3.5 ** (k + 1) - 0.5 ** (k + 1)) / (k + 1)
             assert float(np.sum(quad.weights * (2.0 + quad.nodes) ** k)) == pytest.approx(exact, rel=1e-13)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 33])
+    def test_gauss_legendre_exact_through_degree_2m_minus_1(self, m):
+        quad = op.gauss_legendre(m)
+        for k in range(2 * m):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert float(np.sum(quad.weights * quad.nodes**k)) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 33, 64, 4132])
+    def test_gauss_legendre_exactly_symmetric(self, m):
+        quad = op.gauss_legendre(m, half_width=0.7)
+        assert np.array_equal(quad.nodes, -quad.nodes[::-1])
+        assert np.array_equal(quad.weights, quad.weights[::-1])
+        assert np.all(np.diff(quad.nodes) > 0) and np.all(quad.weights > 0)
+
+    def test_gauss_legendre_matches_50_digit_newton(self):
+        # the 4132-node rule of the default oplocal run, against Newton's
+        # method on the Legendre recurrence at 50 digits, started from the
+        # float node. numpy's eigenvalue-based leggauss misses both bounds
+        # (end weight 3.6e-7, node m - 50 5.5e-11 relative).
+        m = 4132
+        quad = op.gauss_legendre(m)
+        mpmath.mp.dps = 50
+        for index, bound in [(m - 1, 1e-9), (m - 51, 1e-12)]:
+            x = mpmath.mpf(quad.nodes[index])
+            for _ in range(3):
+                p_prev, p = mpmath.mpf(1), x
+                for j in range(1, m):
+                    p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+                dp = m * (p_prev - x * p) / (1 - x * x)
+                x -= p / dp
+            weight = 2 / ((1 - x * x) * dp * dp)
+            assert abs(quad.nodes[index] - float(x)) <= 2e-16
+            assert abs(quad.weights[index] / weight - 1) <= bound
+
+    def test_gauss_legendre_never_returns_an_unconverged_rule(self, monkeypatch):
+        monkeypatch.setattr(op, "NEWTON_MAX_ITER", 2)
+        with pytest.raises(FloatingPointError, match="did not converge"):
+            op.gauss_legendre(50)
+
     def test_insufficient_rule_rejected(self):
         weight = lw.equispaced_weight(8, B=2.0)
         quad = op.build_quadrature(weight, 2)
