@@ -10,7 +10,7 @@ dashes or underscores) whose values go through each option's type. `evolve
 non-finite float option fails before any file is written.
 `--sample-index` must lie in 0..samples-1. Every run writes its outputs
 plus a manifest JSON recording the resolved config (every option), the
-environment (Python, numpy, scipy, BLAS, cores, BLAS thread variables),
+environment (Python, numpy, BLAS, cores, BLAS thread variables),
 code version, wall time, seed scheme, and output digests. Exit status: 0
 success, 1 validation error, 2 numerical failure.
 """
@@ -18,7 +18,6 @@ success, 1 validation error, 2 numerical failure.
 import argparse
 import glob
 import hashlib
-import importlib.metadata
 import json
 import math
 import os
@@ -77,7 +76,6 @@ def _write_manifest(args, outputs, started):
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),  # without importing scipy
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "cpu_count": os.cpu_count(),
             "thread_variables": {v: os.environ.get(v) for v in threads},
@@ -405,7 +403,8 @@ def build_parser():
         required=("t", "N", "samples", "out"))
     add("semicircle", "local density and counting-function checks",
         archive,
-        ("--eta-star", dict(type=float, default=0.01, help="imaginary part of the Stieltjes transform")),
+        ("--eta-star", dict(type=float, default=0.01,
+                            help="local density window: count in [E - eta*, E + eta*] over 2 N eta*")),
         ("--density-tol", dict(type=float, default=0.05, help="local density tolerance")),
         ("--count-tol", dict(type=float, default=0.02, help="counting function tolerance")),
         required=("archive",))
@@ -422,7 +421,9 @@ def build_parser():
         ("--sample-index", dict(type=int, default=0, help="archive row, 0 to samples-1")),
     ]
     add("window", "extract and dump a window decomposition", *window_flags, required=("archive",))
-    root_cap = ("--root-cap", dict(type=int, default=lw.DEFAULT_ROOT_CAP, help="retained weight roots per side"))
+    root_cap = ("--root-cap", dict(type=int, default=lw.DEFAULT_ROOT_CAP,
+                                   help="weight roots kept per side: +-1 included with --archive, "
+                                        "besides +-1 for the equispaced weight"))
     add("oplocal", "orthogonal-polynomial diagnostics for a window weight",
         *window_flags,
         root_cap,

@@ -63,7 +63,6 @@ class RescaledWindow:
     internal_rescaled: np.ndarray
     external_left: np.ndarray   # -1 = first entry, then decreasing
     external_right: np.ndarray  # +1 = first entry, then increasing
-    cutoff_B: float
 
     @property
     def external_rescaled(self):
@@ -153,18 +152,25 @@ def extract_window(spectrum, L, n):
     )
 
 
+def _capped(count, root_cap):
+    """count limited to root_cap; None is no cap, a negative cap a ValueError."""
+    if root_cap is None:
+        return count
+    if root_cap < 0:
+        raise ValueError("root_cap must be nonnegative")
+    return min(count, root_cap)
+
+
 def rescale(window, B, root_cap=DEFAULT_ROOT_CAP):
     """Affine map of the window onto [-1, 1], dropping externals with
-    |k| >= n^B (and beyond ``root_cap`` per side)."""
-    keep = cutoff_index(window.n, B)
+    |k| >= n^B and keeping at most ``root_cap`` externals per side, the
+    bounding point counted (a cap of 0 keeps it too)."""
+    keep = max(_capped(cutoff_index(window.n, B), root_cap), 1)  # a cap of 0 keeps the bounding points
     lo, hi = window.window
     if not hi > lo:
         raise ValueError("degenerate window")
     center = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
-    if root_cap is not None:
-        keep = min(keep, root_cap)
-    keep = max(keep, 1)  # a root cap below 1 still keeps the bounding points
 
     def t(v):
         return (v - center) / half
@@ -182,7 +188,6 @@ def rescale(window, B, root_cap=DEFAULT_ROOT_CAP):
         internal_rescaled=t(window.internal),
         external_left=left,
         external_right=right,
-        cutoff_B=B,
     )
 
 
@@ -193,12 +198,11 @@ def weight_from_window(rescaled):
 
 def equispaced_weight(n, B=2.0, root_cap=DEFAULT_ROOT_CAP):
     """Synthetic external profile: roots at +-(1 + j/(n rho0)), rho0 = 1/2, out
-    to the |k| < n^B cutoff, the idealized flat-density configuration."""
+    to the |k| < n^B cutoff, the idealized flat-density configuration; the
+    bounding points +-1 plus at most ``root_cap`` more roots per side."""
     if n < 1:
         raise ValueError("window size must be positive")
-    count = cutoff_index(n, B) - 1
-    if root_cap is not None:
-        count = min(count, root_cap)
+    count = _capped(cutoff_index(n, B) - 1, root_cap)
     j = np.arange(count + 1)  # j = 0 is the bounding point at +-1
     right = 1.0 + j / (n * 0.5)
     roots = np.concatenate([-right[::-1], right])

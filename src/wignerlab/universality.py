@@ -5,8 +5,8 @@ curves, and the 3/4 energy constant of the log-gas.
 Archive-based estimators consume (samples, N) arrays of ascending spectra
 and reduce per-sample statistics to ensemble averages; within a sample,
 each statistic is one array reduction.
-The energy constant is checked by quadrature: a fixed rule for the outer
-integral, QUADPACK's algebraic-log weights for the log-singular inner one.
+The energy constant is checked by quadrature: one fixed rule carries the
+second moment and the Chebyshev moments whose sum is the log energy.
 """
 
 import math
@@ -37,12 +37,8 @@ __all__ = [
 
 
 def sine_kernel(u):
-    """sin(pi u)/(pi u) with the removable singularity handled by series."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-4
-    x = math.pi * np.where(small, 0.0, u)
-    with np.errstate(invalid="ignore"):
-        out = np.where(small, 1.0 - (math.pi * u) ** 2 / 6.0 + (math.pi * u) ** 4 / 120.0, np.sin(x) / np.where(small, 1.0, x))
+    """sin(pi u)/(pi u), 1 at u = 0."""
+    out = np.sinc(np.asarray(u, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -271,29 +267,21 @@ def semicircle_constants_check():
 
     Returns (x2_moment, log_energy, combo) ~ (1, -1/4, 3/4): the second
     moment of the semicircle law, the double logarithmic energy integral,
-    and (1/2) x2_moment - log_energy. Both outer integrals run on one
-    200-node rule in theta, x = 2 sin(theta), rho_sc(x) dx =
-    (2/pi) cos^2(theta) dtheta. The inner integral of log|x - y| rho_sc(y)
-    is split at y = x, and each half goes to QUADPACK with the algebraic-log
-    weight that carries both its log singularity and its square-root edge.
+    and (1/2) x2_moment - log_energy. Both run on one 200-node rule in
+    theta, x = 2 sin(theta) = 2 cos(a) with a = pi/2 - theta, rho_sc(x) dx =
+    (2/pi) cos^2(theta) dtheta. The Chebyshev expansion of the log kernel,
+    log|2 cos a - 2 cos b| = -sum_k (2/k) cos(ka) cos(kb), turns the
+    log-singular double integral into -sum_k (2/k) c_k^2, with c_k the
+    moment of cos(ka) under rho_sc, for every degree k the rule resolves.
     """
-    from scipy.integrate import quad  # the one scipy user; kept off the import path
-
     rule = gauss_legendre(200, half_width=math.pi / 2.0)
     theta = rule.nodes
     xs = 2.0 * np.sin(theta)
     outer = rule.weights * (2.0 / math.pi) * np.cos(theta) ** 2
     x2 = float(np.sum(outer * xs**2))
-
-    def inner(x):
-        # log(y - x) sqrt(2 - y) on [x, 2] and log(x - y) sqrt(2 + y) on [-2, x]
-        right, _ = quad(lambda y: math.sqrt(2.0 + y) / (2.0 * math.pi), x, 2.0,
-                        weight="alg-loga", wvar=(0.0, 0.5), epsabs=1e-13, epsrel=1e-13)
-        left, _ = quad(lambda y: math.sqrt(2.0 - y) / (2.0 * math.pi), -2.0, x,
-                       weight="alg-logb", wvar=(0.5, 0.0), epsabs=1e-13, epsrel=1e-13)
-        return right + left
-
-    log_energy = float(np.sum(outer * np.array([inner(x) for x in xs])))
+    k = np.arange(1, len(theta))
+    c = np.cos(np.outer(k, math.pi / 2.0 - theta)) @ outer
+    log_energy = -float(np.sum(2.0 / k * c**2))
     return x2, log_energy, 0.5 * x2 - log_energy
 
 

@@ -10,7 +10,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -391,6 +390,13 @@ class TestCli:
                      "--scan-points", "3", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["roots"] == 10
 
+    @pytest.mark.parametrize("command", ["oplocal", "equilibrium"])
+    def test_negative_root_cap_fails_closed_on_equispaced_weight(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--n", "8", "--root-cap", "-1"]) == 1
+        assert capsys.readouterr().err == "error: root_cap must be nonnegative\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_sine_command(self, tmp_path):
         arc = tmp_path / "a.csv"
         assert main(["sample", "--N", "200", "--samples", "40", "--seed", "8", "-o", str(arc)]) == 0
@@ -489,6 +495,9 @@ BAD_PARAMETERS = [
     (["window", "--L=3", "--n=3", "--B=-1"], "cutoff n^B is below 1 at n = 3, B = -1"),
     (["oplocal", "--L=3", "--n=3", "--B=-1"], "cutoff n^B is below 1 at n = 3, B = -1"),
     (["equilibrium", "--L=3", "--n=3", "--B=-1"], "cutoff n^B is below 1 at n = 3, B = -1"),
+    (["oplocal", "--L=3", "--n=3", "--root-cap=-1"], "root_cap must be nonnegative"),
+    (["oplocal", "--L=3", "--n=3", "--root-cap=-2000"], "root_cap must be nonnegative"),
+    (["equilibrium", "--L=3", "--n=3", "--root-cap=-1"], "root_cap must be nonnegative"),
     (["sample", "--kind=gue", "--beta=nan", "--N=5", "--samples=1", "-o", "a.csv"], "beta exponent must be finite"),
 ]
 
@@ -595,21 +604,10 @@ class TestOptions:
         assert set(manifest) == {"command", "config", "environment", "code_version", "wall_time_s",
                                  "seed_scheme", "outputs"}
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count", "thread_variables"}
+        assert set(env) == {"python", "numpy", "blas", "cpu_count", "thread_variables"}
         assert set(env["blas"]) == {"name", "version"}
         assert set(env["thread_variables"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["numpy"] == np.__version__
-        assert env["scipy"] == scipy.__version__
-
-    def test_cli_import_loads_no_scipy_submodule(self):
-        # scipy.integrate costs about half a second of every process start;
-        # only semicircle_constants_check imports it, on first call
-        code = "import json, sys, wignerlab.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
-                                                            os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        loaded = json.loads(out.stdout)
-        assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
 
 
 class TestNanGuard:
@@ -621,6 +619,26 @@ class TestNanGuard:
         monkeypatch.chdir(tmp_path)
         assert main(minimal_run(command, two_row_archive)) == 0
         assert capsys.readouterr().err == ""
+
+    def test_every_subcommand_runs_without_scipy(self, tmp_path, two_row_archive):
+        # numpy is the only runtime dependency: with scipy unimportable, every
+        # minimal run succeeds in one process that loads no scipy module
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from wignerlab.cli import main\n"
+            "codes = {c: main(argv) for c, argv in json.loads(sys.argv[1]).items()}\n"
+            "loaded = sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None)\n"
+            "print(json.dumps([codes, loaded]))\n"
+        )
+        runs = {c: minimal_run(c, two_row_archive) for c in MINIMAL_RUNS}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                                            os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        codes, loaded = json.loads(out.stdout.splitlines()[-1])
+        assert codes == {c: 0 for c in MINIMAL_RUNS} and loaded == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command, flag", FLOAT_OPTIONS, ids=[f"{c} {f}" for c, f in FLOAT_OPTIONS])

@@ -77,6 +77,19 @@ class TestRescale:
         assert len(res.external_left) == 50
         assert len(res.external_right) == 50
 
+    def test_root_cap_counts_on_both_paths(self, gue2000):
+        # a window keeps root_cap per side with +-1 counted, the equispaced
+        # weight +-1 plus root_cap more; a cap of 0 keeps only +-1 on both
+        win = lw.extract_window(gue2000.data[0], 1000, 11)
+        assert len(lw.equispaced_weight(64).roots) == 2 * (1 + lw.DEFAULT_ROOT_CAP)
+        assert list(lw.rescale(win, 2.0, root_cap=0).external_rescaled) == [-1.0, 1.0]
+        assert list(lw.equispaced_weight(11, root_cap=0).roots) == [-1.0, 1.0]
+        for cap in (-1, -2000):
+            with pytest.raises(ValueError, match="root_cap must be nonnegative"):
+                lw.rescale(win, 2.0, root_cap=cap)
+            with pytest.raises(ValueError, match="root_cap must be nonnegative"):
+                lw.equispaced_weight(11, root_cap=cap)
+
     def test_degenerate_window_rejected(self):
         win = lw.WindowDecomposition(
             L=1,
@@ -209,7 +222,6 @@ class TestAssumptionChecks:
             internal_rescaled=internal,
             external_left=np.concatenate([[-1.0], -(1.0 + ks)]),
             external_right=np.concatenate([[1.0], 1.0 + ks]),
-            cutoff_B=2.0,
         )
 
     def test_harmonic_sum_oracle(self):
@@ -243,7 +255,6 @@ class TestAssumptionChecks:
             internal_rescaled=np.linspace(-0.5, 0.5, 5),
             external_left=np.array([-1.0]),
             external_right=np.array([1.0]),
-            cutoff_B=2.0,
         )
         report = lw.assumption_checks(res, lambda x: 0.5, A=2.0)
         assert report["inverse_distance_sum"] == 0.0
