@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAGIC = b"WLAB1"
+VALIDATE_BLOCK = 1 << 14  # values per validation temporary (128 KB as float64)
 
 
 class ArchiveFormatError(ValueError):
@@ -29,9 +30,12 @@ class Archive:
             raise ArchiveFormatError("data shape does not match N")
         if self.N < 1 or data.shape[0] < 1:
             raise ArchiveFormatError("archive must hold at least one spectrum with N >= 1")
-        if not np.all(np.isfinite(data)):
+        # whole rows at a time, so the checks need no temporary as large as the data
+        step = max(1, VALIDATE_BLOCK // self.N)
+        blocks = [data[i : i + step] for i in range(0, len(data), step)]
+        if not all(np.all(np.isfinite(block)) for block in blocks):
             raise ArchiveFormatError("archive values must be finite")
-        if data.shape[1] > 1 and not np.all(np.diff(data, axis=1) > 0):
+        if self.N > 1 and not all(np.all(np.diff(block, axis=1) > 0) for block in blocks):
             raise ArchiveFormatError("archive rows must be strictly ascending")
         if "\n" in self.label or "\r" in self.label:
             raise ArchiveFormatError("archive label must not contain a line break")
@@ -67,14 +71,16 @@ def load_archive(path):
             if len(header) != 16:
                 raise ArchiveFormatError("truncated binary header")
             n, samples = struct.unpack("<QQ", header)
-            payload = fh.read()
-        if len(payload) != 8 * n * samples:
-            raise ArchiveFormatError("binary payload size does not match header")
-        try:
-            data = np.frombuffer(payload, dtype="<f8").reshape(samples, n)
-        except ValueError as exc:  # dimensions beyond what numpy can index
-            raise ArchiveFormatError(f"binary header dimensions {n} x {samples} out of range") from exc
-        return Archive(N=int(n), label=os.path.splitext(os.path.basename(path))[0], data=data.copy())
+            # checked against the file before anything is allocated
+            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * n * samples:
+                raise ArchiveFormatError("binary payload size does not match header")
+            try:
+                data = np.empty((samples, n), dtype="<f8")
+            except ValueError as exc:  # dimensions beyond what numpy can index
+                raise ArchiveFormatError(f"binary header dimensions {n} x {samples} out of range") from exc
+            if fh.readinto(data) != data.nbytes or fh.read(1):  # the file changed since fstat
+                raise ArchiveFormatError("binary payload size does not match header")
+        return Archive(N=int(n), label=os.path.splitext(os.path.basename(path))[0], data=data)
 
     try:
         with open(path, encoding="utf-8") as fh:

@@ -8,10 +8,14 @@ bounding points exactly to -1 and +1. Externals with |k| >= n^B
 (``cutoff_index``, the one owner of n^B) are dropped; the retained ones
 (each a double root of the polynomial weight) generate the log potential
 U(x) = -(2/n) sum_k log |x - y_k|. ``WeightSpec`` is the one place that sums
-over those roots: log w, U, U' and the difference quotient
+over those roots: log w, U, U', the difference quotient
 [U'(s) - U'(x)]/(s - x), which the kernel identities and the equilibrium
-density read. An empty root set needs no special case, since a sum over no
-roots is 0.
+density read, and the inverse-distance sum of the derivative norm checks.
+Each sum runs over blocks of evaluation points, ``ROOT_BLOCK`` point-root
+terms at a time, so no point x root array is ever built whole; every point's
+sum is still one contiguous ``np.sum``, so a value does not depend on the
+blocking. An empty root set needs no special case, since a sum over no roots
+is 0.
 """
 
 import math
@@ -23,6 +27,12 @@ from .orthopoly import gauss_legendre
 from .spectral import require_spectrum, semicircle_density
 
 DEFAULT_ROOT_CAP = 2000  # per side; weight degree drives quadrature cost
+# Point-root terms per block of a root sum: the one 2^14-float64 buffer of a
+# sum is 128 KB, within cache and below glibc's default mmap threshold. The
+# terms are computed in place, since separate block temporaries freed at the
+# top of the heap made glibc give the memory back and fault it in again for
+# every block.
+ROOT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,12 +103,26 @@ class WeightSpec:
             probe = np.cos(np.linspace(0.0, math.pi, 513))
             object.__setattr__(self, "log_shift", float(np.max(self.log_weight(probe))))
 
+    def _root_sum(self, x, term):
+        """sum_k term(x - y_k) for each x, elementwise over any shape; a float
+        for a scalar x. The differences x - y_k go, about ``ROOT_BLOCK`` at a
+        time, into one buffer, which ``term`` overwrites with the summands."""
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        out = np.empty(flat.shape)
+        rows = max(1, ROOT_BLOCK // max(len(self.roots), 1))
+        buf = np.empty((min(rows, len(flat)), len(self.roots)))
+        for i in range(0, len(flat), rows):
+            block = flat[i : i + rows, None]
+            d = np.subtract(block, self.roots, out=buf[: len(block)])
+            term(d)
+            np.sum(d, axis=-1, out=out[i : i + rows])
+        return out.reshape(x.shape) if x.ndim else float(out[0])
+
     def log_weight(self, x):
         """log w(x), unnormalized; -inf at roots."""
-        x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            out = 2.0 * np.sum(np.log(np.abs(x[..., None] - self.roots)), axis=-1)
-        return out if out.ndim else float(out)
+            return 2.0 * self._root_sum(x, lambda d: np.log(np.abs(d, out=d), out=d))
 
     def potential(self, x):
         """U(x) = -(2/n) sum log |x - y_k| so that w = exp(-n U)."""
@@ -106,16 +130,17 @@ class WeightSpec:
 
     def potential_derivative(self, x):
         """U'(x) = -(2/n) sum 1/(x - y_k)."""
-        x = np.asarray(x, dtype=float)
-        out = -(2.0 / self.n) * np.sum(1.0 / (x[..., None] - self.roots), axis=-1)
-        return out if out.ndim else float(out)
+        return -(2.0 / self.n) * self._root_sum(x, lambda d: np.divide(1.0, d, out=d))
 
     def derivative_quotient(self, x, s):
         """[U'(s) - U'(x)]/(s - x) = (2/n) sum_k 1/((x - y_k)(s - y_k)) at a
         scalar x, elementwise in s; U''(x) at s = x."""
-        s = np.asarray(s, dtype=float)
-        out = (2.0 / self.n) * np.sum(1.0 / ((x - self.roots) * (s[..., None] - self.roots)), axis=-1)
-        return out if out.ndim else float(out)
+        x_minus_roots = x - self.roots
+        return (2.0 / self.n) * self._root_sum(s, lambda d: np.divide(1.0, np.multiply(x_minus_roots, d, out=d), out=d))
+
+    def inverse_distance_sum(self, x):
+        """sum_k 1/|x - y_k|, elementwise in x."""
+        return self._root_sum(x, lambda d: np.divide(1.0, np.abs(d, out=d), out=d))
 
 
 def cutoff_index(n, B):

@@ -12,7 +12,9 @@ rounding, up to the float representation of the nodes nearest +-1. A
 ``Recurrence`` carries its weight and rule, so the diagnostics take the
 recurrence alone. Weight values always enter through exp(log-sum) with the
 WeightSpec's additive normalizer, which cancels in all orthonormal
-quantities. Polynomial recurrences run directly on the weighted functions
+quantities; the recurrence keeps the normalized log-weight on its rule's
+nodes, so the diagnostics that integrate on that rule do not sum over the
+roots again. Polynomial recurrences run directly on the weighted functions
 psi_j = p_j sqrt(w), which stay O(1) where p_j alone would overflow.
 """
 
@@ -113,7 +115,8 @@ class Recurrence:
     off-diagonal b_(j+1) coupling degrees j and j+1, so that
     x p_j = beta[j] p_(j+1) + alpha[j] p_j + beta[j-1] p_(j-1). ``mass`` is
     the square root of the total weight integral (p_0 = 1/mass) for
-    ``weight``, on the rule ``quad`` that the diagnostics integrate with.
+    ``weight``, on the rule ``quad`` that the diagnostics integrate with;
+    ``node_log_weight`` is log w - log_shift at ``quad.nodes``.
     """
 
     alpha: np.ndarray
@@ -121,6 +124,7 @@ class Recurrence:
     mass: float
     weight: object
     quad: Quadrature
+    node_log_weight: np.ndarray
 
     def __post_init__(self):
         if np.any(self.beta <= 0):
@@ -141,7 +145,8 @@ def stieltjes_recurrence(weight, quad, max_degree):
     if quad.exact_degree < 2 * len(weight.roots) + 2 * max_degree:
         raise ValueError("quadrature not exact for the needed moments")
     x = quad.nodes
-    wts = quad.weights * np.exp(weight.log_weight(x) - weight.log_shift)  # normalized weight
+    node_log_weight = weight.log_weight(x) - weight.log_shift
+    wts = quad.weights * np.exp(node_log_weight)  # normalized weight
     mass_sq = float(np.sum(wts))
     if not mass_sq > 0:
         raise FloatingPointError("weight underflowed on the quadrature nodes")
@@ -162,7 +167,7 @@ def stieltjes_recurrence(weight, quad, max_degree):
         beta[j] = b
         p_prev, p = p, q / b
         b_prev = b
-    return Recurrence(alpha=alpha, beta=beta, mass=mass, weight=weight, quad=quad)
+    return Recurrence(alpha=alpha, beta=beta, mass=mass, weight=weight, quad=quad, node_log_weight=node_log_weight)
 
 
 def recurrence_node_doubling_gap(weight, max_degree):
@@ -178,13 +183,16 @@ def _psi_table(rec, degree, x):
     """psi_0..psi_degree at points x, shape (degree + 1, len(x)).
 
     Runs the three-term recurrence directly on psi_j = p_j sqrt(w)
-    (normalized), which is the numerically bounded object.
+    (normalized), which is the numerically bounded object. On the
+    recurrence's own nodes (the same array object) the weight is read from
+    the recurrence instead of summed over the roots again.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if degree > rec.max_degree:
         raise ValueError("degree exceeds the built recurrence")
+    log_w = rec.node_log_weight if x is rec.quad.nodes else rec.weight.log_weight(x) - rec.weight.log_shift
     with np.errstate(over="ignore"):
-        sqw = np.exp(0.5 * (np.asarray(rec.weight.log_weight(x)) - rec.weight.log_shift))
+        sqw = np.exp(0.5 * log_w)
     table = np.empty((degree + 1, len(x)))
     table[0] = sqw / rec.mass
     if degree >= 1:
@@ -299,7 +307,7 @@ def derivative_norm_checks(rec, n):
         dot_prev, dot = dot, (table[j] + (xs - rec.alpha[j]) * dot - b_prev * dot_prev) / rec.beta[j]
     psi = table[n - 1]
     psi_prime = dot - 0.5 * weight.n * weight.potential_derivative(xs) * psi
-    inv = np.sum(1.0 / np.abs(xs[:, None] - weight.roots), axis=1) / weight.n
+    inv = weight.inverse_distance_sum(xs) / weight.n
     op73 = float(np.sum(quad.weights * psi**2 * inv**2))
     op51 = float(np.sum(quad.weights * psi_prime**2))
     return op73, op51

@@ -9,6 +9,7 @@ good-configuration thresholds are the constants ``GOOD_*``; only the support
 bound K is an argument.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -283,6 +284,28 @@ def _bulk_indices(N, kappa):
     return lo, hi
 
 
+@functools.lru_cache(maxsize=1)
+def _rigidity_layout(N, kappa):
+    """The row-independent part of ``rigidity_check`` for one (N, kappa):
+    0-based bulk positions, their semicircle quantiles, the near bulk pairs
+    (a, b) as positions in the bulk, their separations k = b - a and the
+    gauges n^gamma k^(3/4) + k^2 / N. Read-only, since the cache shares them."""
+    a_lo, a_hi = _bulk_indices(N, kappa)
+    idx = np.arange(a_lo, a_hi + 1)  # 1-based indices
+    quant = semicircle_cdf_inverse(idx / N)
+    ngam = window_size(N) ** GOOD_GAMMA
+    pair_cap = int(N * window_size(N) ** (-GOOD_GAMMA / 6.0))
+    a, b = np.triu_indices(len(idx), 1)  # positions of the bulk pairs a < b
+    near = b - a <= pair_cap
+    a, b = a[near], b[near]
+    k = b - a
+    gauge = ngam * k**0.75 + k**2 / N
+    layout = (idx - 1, quant, a, b, k, gauge)
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
 def rigidity_check(spectrum, kappa):
     """Location and pair rigidity of bulk eigenvalues.
 
@@ -290,23 +313,15 @@ def rigidity_check(spectrum, kappa):
     eigenvalue from its semicircle quantile, and the worst normalized pair
     deviation |N rho_sc(l_a)(l_b - l_a) - (b - a)| over the scaled gauge
     n^gamma |b-a|^(3/4) + |b-a|^2 / N, taken over the bulk pairs with
-    0 < b - a <= N n^(-gamma/6) in one array (0 when there are none).
+    0 < b - a <= N n^(-gamma/6) in one array (0 when there are none). The
+    layout of quantiles and pairs is computed once per (N, kappa).
     """
     spectrum = require_spectrum(spectrum)
     N = len(spectrum)
-    a_lo, a_hi = _bulk_indices(N, kappa)
-    idx = np.arange(a_lo, a_hi + 1)  # 1-based indices
-    quant = semicircle_cdf_inverse(idx / N)
-    lam = spectrum[idx - 1]
+    pos, quant, a, b, k, gauge = _rigidity_layout(N, kappa)
+    lam = spectrum[pos]
     max_loc = float(np.max(np.abs(lam - quant)))
-
-    ngam = window_size(N) ** GOOD_GAMMA
-    pair_cap = int(N * window_size(N) ** (-GOOD_GAMMA / 6.0))
-    a, b = np.triu_indices(len(idx), 1)  # positions of the bulk pairs a < b
-    near = b - a <= pair_cap
-    a, b = a[near], b[near]
-    k = b - a
-    dev = np.abs(N * semicircle_density(lam)[a] * (lam[b] - lam[a]) - k) / (ngam * k**0.75 + k**2 / N)
+    dev = np.abs(N * semicircle_density(lam)[a] * (lam[b] - lam[a]) - k) / gauge
     return max_loc, float(np.max(dev, initial=0.0))
 
 

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from wignerlab import cli
 from wignerlab import localwindow as lw
+from wignerlab import orthopoly as op
 from wignerlab.archive import MAGIC, Archive, ArchiveFormatError, load_archive, save_archive
 from wignerlab.cli import main
 from wignerlab.ensemble import EnsembleConfig, ou_evolve, sample_gue, sample_stream, sample_wigner
@@ -87,6 +89,20 @@ class TestArchiveIO:
         save_archive(Archive(N=7, label="bin", data=data), str(path))
         back = load_archive(str(path))
         assert back.data.tobytes() == data.tobytes()
+
+    def test_binary_load_holds_one_copy(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = np.sort(rng.standard_normal((2000, 200)), axis=1)
+        path = tmp_path / "a.bin"
+        save_archive(Archive(N=200, label="a", data=data), str(path))
+        tracemalloc.start()
+        try:
+            back = load_archive(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.data.tobytes() == data.tobytes()
+        assert peak <= 1.25 * data.nbytes
 
     def test_header_row_length_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -354,6 +370,26 @@ class TestCli:
         assert (tmp_path / "kernel_scan.csv").exists()
         header = (tmp_path / "recurrence.csv").read_text().splitlines()[0]
         assert header == "j,alpha_j,beta_j"
+
+    def test_oplocal_weighs_rule_nodes_once(self, tmp_path, monkeypatch):
+        # the recurrence keeps log w on its nodes for the Gram check
+        monkeypatch.chdir(tmp_path)
+        points, recs = [], []
+        log_weight, recurrence = lw.WeightSpec.log_weight, op.stieltjes_recurrence
+
+        def counting_log_weight(self, x):
+            points.append(np.array(x, dtype=float))
+            return log_weight(self, x)
+
+        def keeping_recurrence(*args):
+            recs.append(recurrence(*args))
+            return recs[-1]
+
+        monkeypatch.setattr(lw.WeightSpec, "log_weight", counting_log_weight)
+        monkeypatch.setattr(op, "stieltjes_recurrence", keeping_recurrence)
+        assert main(["oplocal", "--n", "8", "--B", "1.5", "--scan-points", "5", "-o", str(tmp_path / "op.json")]) == 0
+        nodes = recs[0].quad.nodes
+        assert sum(x.shape == nodes.shape and np.array_equal(x, nodes) for x in points) == 1
 
     def test_equilibrium_small_profile(self, tmp_path):
         out = tmp_path / "eq.json"

@@ -179,6 +179,35 @@ class TestPotential:
         fd = (spec.potential_derivative(x + h) - spec.potential_derivative(x - h)) / (2 * h)
         assert spec.derivative_quotient(x, x) == pytest.approx(fd, rel=1e-5)
 
+    @pytest.mark.parametrize("roots", [lw.equispaced_weight(8, B=2.0).roots, np.array([])],
+                             ids=["128-roots", "no-roots"])
+    @pytest.mark.parametrize("shape", ["scalar", "2-d", "blocks-plus-5"])
+    def test_blocked_sums_equal_one_array_sums(self, roots, shape):
+        spec = lw.WeightSpec(n=8, roots=roots)
+        rows = lw.ROOT_BLOCK // max(len(roots), 1)  # points per block
+        x = {"scalar": 0.37, "2-d": np.linspace(-0.9, 0.9, 12).reshape(3, 4),
+             "blocks-plus-5": np.linspace(-0.99, 0.99, 3 * rows + 5)}[shape]
+        d = np.asarray(x)[..., None] - spec.roots
+        with np.errstate(divide="ignore"):
+            log_w = 2.0 * np.sum(np.log(np.abs(d)), axis=-1)
+        expected = {
+            "log_weight": log_w,
+            "potential_derivative": -(2.0 / 8) * np.sum(1.0 / d, axis=-1),
+            "derivative_quotient": (2.0 / 8) * np.sum(1.0 / ((0.2 - spec.roots) * d), axis=-1),
+            "inverse_distance_sum": np.sum(1.0 / np.abs(d), axis=-1),
+        }
+        got = {
+            "log_weight": spec.log_weight(x),
+            "potential_derivative": spec.potential_derivative(x),
+            "derivative_quotient": spec.derivative_quotient(0.2, x),
+            "inverse_distance_sum": spec.inverse_distance_sum(x),
+        }
+        for name, value in got.items():
+            if shape == "scalar":
+                assert type(value) is float, name
+            assert np.shape(value) == np.shape(x), name
+            assert np.asarray(value).tobytes() == np.asarray(expected[name]).tobytes(), name
+
     def test_empty_roots_give_zero_quotient(self):
         spec = lw.WeightSpec(n=4, roots=np.array([]))
         s = np.linspace(-0.9, 0.9, 7)

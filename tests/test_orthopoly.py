@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -153,6 +154,29 @@ class TestRecurrence:
         table = op._psi_table(rec, 16, quad.nodes)
         gram = (table * quad.weights) @ table.T
         assert np.max(np.abs(gram - np.eye(17))) < 1e-8
+
+    def test_node_root_sums_stay_small(self):
+        # oplocal's defaults: 4002 roots on a 4132-node rule, so one
+        # node x root array would take 132 MB
+        weight = lw.equispaced_weight(64)
+        quad = op.build_quadrature(weight, 65, margin=64)
+        tracemalloc.start()
+        try:
+            rec = op.stieltjes_recurrence(weight, quad, 65)
+            op._psi_table(rec, 63, quad.nodes)
+            op._psi_table(rec, 63, quad.nodes.copy())  # other points sum over the roots
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(weight.roots) == 4002 and len(quad.nodes) == 4132
+        assert peak < 32 * 2**20
+
+    def test_psi_table_on_own_nodes_reuses_the_weight(self, pointcharge16):
+        rec = pointcharge16
+        own = op._psi_table(rec, 16, rec.quad.nodes)
+        assert own.tobytes() == op._psi_table(rec, 16, rec.quad.nodes.copy()).tobytes()
+        expected = rec.weight.log_weight(rec.quad.nodes) - rec.weight.log_shift
+        assert rec.node_log_weight.tobytes() == expected.tobytes()
 
     def test_node_doubling_guard(self):
         weight = lw.equispaced_weight(12, B=2.0)
