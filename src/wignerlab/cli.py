@@ -203,6 +203,8 @@ def _recurrence(weight):
 def cmd_oplocal(args, started):
     if not -1.0 <= args.energy <= 1.0:
         raise ValueError("energy must lie in [-1, 1]")
+    if args.scan_points < 1:
+        raise ValueError("--scan-points must be at least 1")
     weight = _weight(args)
     n = weight.n
     rec = _recurrence(weight)

@@ -2,14 +2,11 @@
 support endpoints, density via a principal-value integral, and the
 local-universality condition report.
 
-For point-charge potentials the two singular endpoint equations reduce to
-exact algebraic sums over the charges; for analytic potentials the
-Chebyshev-Gauss rule absorbs the endpoint square roots. The density reads
-only the difference quotient [V'(s) - V'(x)]/(s - x), which each potential
-type supplies as ``derivative_quotient``: a ``localwindow.WeightSpec`` sums
-it exactly over its charges, an ``AnalyticPotential`` divides differences
-of V'. The conventions
-match an external potential V with equilibrium energy
+For point charges the endpoint equations and the density are exact sums
+over the charges, as (1/pi) int_a^b ds/((s-y) sqrt((s-a)(b-s))) equals
+sigma/sqrt((a-y)(b-y)), sigma = +1 left of a and -1 right of b; for analytic
+potentials a Chebyshev-Gauss rule absorbs the endpoint square roots. The
+conventions match an external potential V with equilibrium energy
 int int log|s-t|^-1 dnu dnu + int V dnu; the local-universality dictionary
 uses Q = V/2.
 """
@@ -65,6 +62,12 @@ class SupportInterval:
     residuals: tuple
 
 
+def _charges(roots, a, b):
+    """The charges y < a and y > b, then P = (a - y)(b - y) for each side."""
+    left, right = roots[roots < a], roots[roots > b]
+    return left, right, (a - left) * (b - left), (a - right) * (b - right)
+
+
 def _pointcharge_system(roots, n, a, b):
     """The two endpoint equations and their Jacobian for point charges.
 
@@ -72,10 +75,7 @@ def _pointcharge_system(roots, n, a, b):
     F2 = (1/n) [sum_k sigma_k y_k P_k^-1/2 + M] + 1,  P_k = (a-y_k)(b-y_k)
     with sigma_k = +1 for y_k < a and -1 for y_k > b.
     """
-    left = roots[roots < a]
-    right = roots[roots > b]
-    pl = (a - left) * (b - left)
-    pr = (a - right) * (b - right)
+    left, right, pl, pr = _charges(roots, a, b)
     if np.any(pl <= 0) or np.any(pr <= 0):
         return None, None
     sl = pl**-0.5
@@ -109,13 +109,17 @@ def _analytic_system(pot, a, b):
     return np.array([f1, f2])
 
 
-def _newton_problem(pot):
-    """(start point, residual/Jacobian callable, bracket clamp) for one potential.
+def _family(pot):
+    """(start point, residual/Jacobian callable, bracket clamp, PV callable):
+    the one place that tells the potential families apart.
 
     Point charges use the exact algebraic equations with their analytic
     Jacobian and start hugging the interval ends; analytic potentials use
     quadrature residuals with a central-difference Jacobian and start 5%
     inside the domain. ``clamp(an, bn, a, b)`` keeps a trial step ordered.
+    ``pv(a, b, x)``, PV int_a^b V'(s)/((s-x) sqrt((s-a)(b-s))) ds for each x,
+    sums over the charges, or takes 800 Chebyshev nodes after subtracting
+    V'(x), whose PV integral vanishes on (a, b).
     """
     if isinstance(pot, AnalyticPotential):
         lo, hi = pot.domain
@@ -130,7 +134,11 @@ def _newton_problem(pot):
         def clamp(an, bn, a, b):
             return an, max(bn, an + 1e-12)
 
-        return (lo + 0.05 * span, hi - 0.05 * span), system, clamp
+        def pv(a, b, x):
+            s = _chebyshev_nodes(a, b, 800)
+            return np.reshape([math.pi * float(np.mean(pot.derivative_quotient(v, s))) for v in x.flat], x.shape)
+
+        return (lo + 0.05 * span, hi - 0.05 * span), system, clamp, pv
 
     n = pot.n
 
@@ -140,17 +148,21 @@ def _newton_problem(pot):
     def clamp(an, bn, a, b):
         return min(max(an, -1.0 + 1e-14), b - 1e-13), max(min(bn, 1.0 - 1e-14), a + 1e-13)
 
-    return (-1.0 + 1.0 / (2.0 * n), 1.0 - 1.0 / (2.0 * n)), system, clamp
+    def pv(a, b, x):
+        left, right, pl, pr = _charges(pot.roots, a, b)
+        col = x[..., None]
+        return (2.0 * math.pi / n) * (np.sum(pl**-0.5 / (col - left), -1) - np.sum(pr**-0.5 / (col - right), -1))
+
+    return (-1.0 + 1.0 / (2.0 * n), 1.0 - 1.0 / (2.0 * n)), system, clamp, pv
 
 
 def solve_endpoints(pot):
     """Support endpoints (a, b) of the equilibrium measure by damped Newton,
     to a residual below 1e-12 within 200 steps.
 
-    ``pot`` is a point-charge ``WeightSpec`` or an ``AnalyticPotential``;
-    each supplies its own start point, Jacobian and bracket clamp.
+    ``pot`` is a point-charge ``WeightSpec`` or an ``AnalyticPotential``.
     """
-    (a, b), system, clamp = _newton_problem(pot)
+    (a, b), system, clamp, _ = _family(pot)
     f, jac = system(a, b)
     for _ in range(200):
         step = np.linalg.solve(jac, f)
@@ -170,28 +182,23 @@ def solve_endpoints(pot):
     raise RuntimeError("endpoint Newton iteration did not converge")
 
 
-def equilibrium_density(pot, support, x, m=800):
-    """Density g(x) of the equilibrium measure at an interior point.
-
-    g(x) = (1/2 pi^2) sqrt((x-a)(b-x)) PV int_a^b V'(s)/((s-x) sqrt(...)) ds,
-    evaluated by singularity subtraction: the subtracted principal-value
-    integral of 1/((s-x) sqrt(...)) vanishes identically on (a, b), and
-    Chebyshev-Gauss nodes absorb the endpoint square roots.
-    """
+def equilibrium_density(pot, support, x):
+    """Equilibrium density (1/2 pi^2) sqrt((x-a)(b-x)) PV int_a^b V'(s)/((s-x) sqrt(...)) ds,
+    elementwise (a float for a scalar x); each x must lie in (a + 1e-8, b - 1e-8)."""
     a, b = support.a, support.b
-    x = float(x)
-    if not (a + 1e-8 < x < b - 1e-8):
+    x = np.asarray(x, dtype=float)
+    if not np.all((x > a + 1e-8) & (x < b - 1e-8)):
         raise ValueError("x must lie strictly inside the support")
-    s = _chebyshev_nodes(a, b, m)
-    pv = math.pi * float(np.mean(pot.derivative_quotient(x, s)))
-    return math.sqrt(max((x - a) * (b - x), 0.0)) * pv / (2.0 * math.pi**2)
+    *_, pv = _family(pot)
+    g = np.sqrt((x - a) * (b - x)) * pv(a, b, x) / (2.0 * math.pi**2)
+    return g if x.ndim else float(g)
 
 
 def equilibrium_mass(pot, support):
-    """int_a^b g by the same Chebyshev rule (sanity value, ~1)."""
+    """int_a^b g by a 200-node Chebyshev rule (sanity value, ~1)."""
     a, b = support.a, support.b
     s = _chebyshev_nodes(a, b, 200)
-    g = np.array([equilibrium_density(pot, support, v, 400) for v in s])
+    g = equilibrium_density(pot, support, s)
     return float(np.sum(g * np.sqrt((s - a) * (b - s))) * math.pi / 200)
 
 
@@ -206,12 +213,11 @@ def levin_lubinsky_report(support, rec, J):
         E + x/n clipped to [-1, 1]; a ValueError if rho_n is not positive
         at every such point.
     """
-    a, b = support.a, support.b
     j_lo, j_hi = J
-    if not (a < j_lo < j_hi < b):
+    if not (support.a < j_lo < j_hi < support.b):
         raise ValueError("J must be interior to the support")
     grid = np.linspace(j_lo, j_hi, 41)
-    g = np.array([equilibrium_density(rec.weight, support, x) for x in grid])
+    g = equilibrium_density(rec.weight, support, grid)
     qprime = rec.weight.potential_derivative(grid) / 2.0
     modulus = float(np.max(np.abs(np.diff(qprime))))
     n = rec.weight.n

@@ -7,10 +7,8 @@ bounded by the two nearest external points; the affine rescaling maps those
 bounding points exactly to -1 and +1. Externals with |k| >= n^B
 (``cutoff_index``, the one owner of n^B) are dropped; the retained ones
 (each a double root of the polynomial weight) generate the log potential
-U(x) = -(2/n) sum_k log |x - y_k|. ``WeightSpec`` is the one place that sums
-over those roots: log w, U, U', the difference quotient
-[U'(s) - U'(x)]/(s - x), which the kernel identities and the equilibrium
-density read, and the inverse-distance sum of the derivative norm checks.
+U(x) = -(2/n) sum_k log |x - y_k|. ``WeightSpec`` sums over those roots
+for log w, U, U' and the inverse-distance sum of the derivative norm checks.
 Each sum runs over blocks of evaluation points, ``ROOT_BLOCK`` point-root
 terms at a time, so no point x root array is ever built whole; every point's
 sum is still one contiguous ``np.sum``, so a value does not depend on the
@@ -131,12 +129,6 @@ class WeightSpec:
     def potential_derivative(self, x):
         """U'(x) = -(2/n) sum 1/(x - y_k)."""
         return -(2.0 / self.n) * self._root_sum(x, lambda d: np.divide(1.0, d, out=d))
-
-    def derivative_quotient(self, x, s):
-        """[U'(s) - U'(x)]/(s - x) = (2/n) sum_k 1/((x - y_k)(s - y_k)) at a
-        scalar x, elementwise in s; U''(x) at s = x."""
-        x_minus_roots = x - self.roots
-        return (2.0 / self.n) * self._root_sum(s, lambda d: np.divide(1.0, np.multiply(x_minus_roots, d, out=d), out=d))
 
     def inverse_distance_sum(self, x):
         """sum_k 1/|x - y_k|, elementwise in x."""

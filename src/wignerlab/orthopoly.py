@@ -269,8 +269,8 @@ def density_derivative(rec, n, x):
     z = quad.nodes
     row = kernel_matrix(rec, n, np.array([x]), np.append(z, [1.0, -1.0]))[0]
     krow, k_hi, k_lo = row[:-2], row[-2], row[-1]
-    dv = (z - x) * weight.derivative_quotient(x, z)  # U'(z) - U'(x)
-    integral = float(np.sum(quad.weights * dv * krow**2))
+    u = weight.potential_derivative(np.append(z, x))  # U'(z), then U'(x)
+    integral = float(np.sum(quad.weights * (u[:-1] - u[-1]) * krow**2))
     return integral + float(k_hi**2 - k_lo**2) / n
 
 

@@ -534,6 +534,7 @@ BAD_PARAMETERS = [
     (["oplocal", "--L=3", "--n=3", "--root-cap=-1"], "root_cap must be nonnegative"),
     (["oplocal", "--L=3", "--n=3", "--root-cap=-2000"], "root_cap must be nonnegative"),
     (["equilibrium", "--L=3", "--n=3", "--root-cap=-1"], "root_cap must be nonnegative"),
+    (["oplocal", "--L=3", "--n=3", "--scan-points=0"], "--scan-points must be at least 1"),
     (["sample", "--kind=gue", "--beta=nan", "--N=5", "--samples=1", "-o", "a.csv"], "beta exponent must be finite"),
 ]
 

@@ -135,7 +135,6 @@ class TestPotential:
         spec = lw.WeightSpec(n=1, roots=np.array([-1.0, 1.0]))
         assert spec.potential(0.0) == pytest.approx(0.0)  # -2*(log 1 + log 1)/1
         assert spec.potential_derivative(0.0) == pytest.approx(0.0)
-        assert spec.derivative_quotient(0.0, 0.0) > 0
 
     def test_symmetric_roots_odd_derivative(self):
         spec = lw.equispaced_weight(16, B=2.0)
@@ -170,15 +169,6 @@ class TestPotential:
         assert spec.potential(0.37) == pytest.approx(spec.potential(xs)[2], rel=1e-14)
         assert spec.potential_derivative(0.37) == pytest.approx(spec.potential_derivative(xs)[2], rel=1e-14)
 
-    def test_derivative_quotient_oracle(self):
-        spec = lw.equispaced_weight(8, B=2.0)
-        x, s = 0.37, np.linspace(-0.95, 0.95, 20)
-        oracle = (spec.potential_derivative(s) - spec.potential_derivative(x)) / (s - x)
-        assert np.allclose(spec.derivative_quotient(x, s), oracle, rtol=1e-10, atol=0.0)
-        h = 1e-6
-        fd = (spec.potential_derivative(x + h) - spec.potential_derivative(x - h)) / (2 * h)
-        assert spec.derivative_quotient(x, x) == pytest.approx(fd, rel=1e-5)
-
     @pytest.mark.parametrize("roots", [lw.equispaced_weight(8, B=2.0).roots, np.array([])],
                              ids=["128-roots", "no-roots"])
     @pytest.mark.parametrize("shape", ["scalar", "2-d", "blocks-plus-5"])
@@ -193,13 +183,11 @@ class TestPotential:
         expected = {
             "log_weight": log_w,
             "potential_derivative": -(2.0 / 8) * np.sum(1.0 / d, axis=-1),
-            "derivative_quotient": (2.0 / 8) * np.sum(1.0 / ((0.2 - spec.roots) * d), axis=-1),
             "inverse_distance_sum": np.sum(1.0 / np.abs(d), axis=-1),
         }
         got = {
             "log_weight": spec.log_weight(x),
             "potential_derivative": spec.potential_derivative(x),
-            "derivative_quotient": spec.derivative_quotient(0.2, x),
             "inverse_distance_sum": spec.inverse_distance_sum(x),
         }
         for name, value in got.items():
@@ -207,12 +195,6 @@ class TestPotential:
                 assert type(value) is float, name
             assert np.shape(value) == np.shape(x), name
             assert np.asarray(value).tobytes() == np.asarray(expected[name]).tobytes(), name
-
-    def test_empty_roots_give_zero_quotient(self):
-        spec = lw.WeightSpec(n=4, roots=np.array([]))
-        s = np.linspace(-0.9, 0.9, 7)
-        assert np.array_equal(spec.derivative_quotient(0.2, s), np.zeros_like(s))
-        assert spec.derivative_quotient(0.2, 0.2) == 0.0
 
 
 class TestTailSplit:
