@@ -1,7 +1,7 @@
-"""Wigner/GUE sampling, the matrix Ornstein-Uhlenbeck flow, the eigenvalue
-SDE (Dyson Brownian motion), and the explicit eigenvalue transition kernel.
-The entry laws are ``ENTRY_LAWS``; the log-gas energy of a spectrum is
-N^2 ``universality.vandermonde_statistic`` at eta = 0.
+"""Wigner/GUE sampling, the matrix Ornstein-Uhlenbeck flow and the
+eigenvalue SDE (Dyson Brownian motion). The entry laws are ``ENTRY_LAWS``;
+the log-gas energy of a spectrum is N^2 ``universality.vandermonde_statistic``
+at eta = 0.
 
 Matrix entries follow the 1/sqrt(N) normalization: off-diagonal real and
 imaginary parts have variance 1/2 and diagonals variance 1 before scaling,
@@ -65,12 +65,6 @@ class HermitianMatrix:
         out = out + out.conj().T
         out[np.diag_indices(n)] /= 2.0
         return out
-
-    def trace_square(self):
-        """Tr H^2 from the packed triangle."""
-        diag = self.packed[_diag_indices(self.dim)].real
-        total = 2.0 * float(np.sum(np.abs(self.packed) ** 2)) - float(np.sum(diag**2))
-        return total
 
 
 @dataclass(frozen=True)
@@ -217,63 +211,3 @@ def log_vandermonde(values, eta=0.0):
             raise ValueError("coincident values with eta = 0")
         return float(np.sum(np.log(np.abs(gaps))))
     return float(0.5 * np.sum(np.log(gaps**2 + eta**2)))
-
-
-def transition_kernel_logdensity(lam, nu, s):
-    """Log of the explicit eigenvalue transition kernel after OU time s.
-
-    Evaluates, with c = e^(-s/2),
-
-        g_s(lam, nu) = N^(N/2) / ((2 pi)^(N/2) c^(N(N-1)/2) (1-c^2)^(N/2))
-                       * Delta(lam)/Delta(nu)
-                       * det[ exp(-N (c lam_j - nu_k)^2 / (2 (1-c^2))) ]
-
-    in log space with row/column scaling of the determinant matrix. The
-    Gaussian factor uses the (c lam_j - nu_k)^2 argument as printed; note
-    that at N = 1 this matches the scalar density
-    sqrt(1/(2 pi (1-c^2))) exp(-(c lam - nu)^2 / (2 (1-c^2))), whose
-    argument convention differs from the scalar OU transition density
-    (lam - c nu)^2 by a multiplicative factor depending on lam, nu only.
-
-    Inputs must have equal length and pairwise distinct entries; the value
-    is invariant under simultaneous identical permutation of lam and nu.
-    """
-    lam = np.asarray(lam, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if lam.shape != nu.shape or lam.ndim != 1:
-        raise ValueError("lam and nu must be 1-D of equal length")
-    if s <= 0:
-        raise ValueError("time must be positive")
-    # Delta(lam)/Delta(nu) and the determinant each flip sign under
-    # reordering and the product does not, so evaluate in sorted order: the
-    # value is then exactly permutation invariant, and the determinant of the
-    # totally positive Gaussian kernel must come out positive.
-    lam, nu = np.sort(lam), np.sort(nu)
-    N = len(lam)
-    for v, name in ((lam, "lam"), (nu, "nu")):
-        if N > 1 and np.min(np.diff(v)) <= 0:
-            raise ValueError(f"coincident points in {name}")
-    c = math.exp(-s / 2.0)
-    one_mc2 = -math.expm1(-s)  # 1 - c^2
-
-    log_pref = (
-        0.5 * N * math.log(N)
-        - 0.5 * N * math.log(2.0 * math.pi)
-        - 0.5 * N * (N - 1) * math.log(c)
-        - 0.5 * N * math.log(one_mc2)
-    )
-
-    log_ratio = log_vandermonde(lam) - log_vandermonde(nu)
-
-    a = -N * (c * lam[:, None] - nu[None, :]) ** 2 / (2.0 * one_mc2)
-    row = a.max(axis=1, keepdims=True)
-    a = a - row
-    col = a.max(axis=0, keepdims=True)
-    a = a - col
-    sign, logdet = np.linalg.slogdet(np.exp(a))
-    if sign == 0 or not np.isfinite(logdet):
-        raise FloatingPointError("transition determinant underflowed to singular")
-    if sign < 0:
-        raise FloatingPointError("transition determinant lost positivity")
-    return float(log_pref + log_ratio + float(row.sum() + col.sum()) + logdet)
-

@@ -194,14 +194,6 @@ def equilibrium_density(pot, support, x):
     return g if x.ndim else float(g)
 
 
-def equilibrium_mass(pot, support):
-    """int_a^b g by a 200-node Chebyshev rule (sanity value, ~1)."""
-    a, b = support.a, support.b
-    s = _chebyshev_nodes(a, b, 200)
-    g = equilibrium_density(pot, support, s)
-    return float(np.sum(g * np.sqrt((s - a) * (b - s))) * math.pi / 200)
-
-
 def levin_lubinsky_report(support, rec, J):
     """Desk-scale report of the four local-universality conditions on J for
     the point-charge potential of the recurrence's weight.

@@ -8,7 +8,7 @@ bounding points exactly to -1 and +1. Externals with |k| >= n^B
 (``cutoff_index``, the one owner of n^B) are dropped; the retained ones
 (each a double root of the polynomial weight) generate the log potential
 U(x) = -(2/n) sum_k log |x - y_k|. ``WeightSpec`` sums over those roots
-for log w, U, U' and the inverse-distance sum of the derivative norm checks.
+for log w, U' and the inverse-distance sum of the derivative norm checks.
 Each sum runs over blocks of evaluation points, ``ROOT_BLOCK`` point-root
 terms at a time, so no point x root array is ever built whole; every point's
 sum is still one contiguous ``np.sum``, so a value does not depend on the
@@ -122,10 +122,6 @@ class WeightSpec:
         with np.errstate(divide="ignore"):
             return 2.0 * self._root_sum(x, lambda d: np.log(np.abs(d, out=d), out=d))
 
-    def potential(self, x):
-        """U(x) = -(2/n) sum log |x - y_k| so that w = exp(-n U)."""
-        return -np.asarray(self.log_weight(x)) / self.n
-
     def potential_derivative(self, x):
         """U'(x) = -(2/n) sum 1/(x - y_k)."""
         return -(2.0 / self.n) * self._root_sum(x, lambda d: np.divide(1.0, d, out=d))
@@ -226,22 +222,23 @@ def equispaced_weight(n, B=2.0, root_cap=DEFAULT_ROOT_CAP):
     return WeightSpec(n=n, roots=roots)
 
 
-def tail_split_check(window, B):
-    """Far-tail diagnostics of the potential split at cutoff n^B.
+def tail_split_check(window, rescaled):
+    """Far-tail diagnostics of the potential split at the externals that
+    ``rescale`` dropped: all but the ``len(rescaled.external_left)`` and
+    ``len(rescaled.external_right)`` nearest ones on each side, so the
+    cutoff n^B and the root cap enter by the same rule as in the weight.
 
     Returns (sup_v2_prime, density_ratio_dev): the sup over the window of
-    |N x - 2 sum_{|k| >= n^B} (x - y_k)^-1| (derivative of the quadratic-
-    plus-far-tail part), and n times the oscillation of that part over the
-    window, which bounds the sup-norm deviation of the cutoff measure
-    ratio from 1.
+    |N x - 2 sum_far (x - y_k)^-1| (derivative of the quadratic-plus-far-
+    tail part), and n times the oscillation of that part over the window,
+    which bounds the sup-norm deviation of the cutoff measure ratio from 1.
     """
     lo, hi = window.window
     n = window.n
     # total particle count: internals + externals (+0 for the point itself)
     N = n + len(window.external_left) + len(window.external_right)
-    cut = cutoff_index(n, B)
-    far_left = window.external_left[::-1][cut:]
-    far_right = window.external_right[cut:]
+    far_left = window.external_left[::-1][len(rescaled.external_left):]
+    far_right = window.external_right[len(rescaled.external_right):]
     far = np.concatenate([far_left, far_right])
     grid = np.linspace(lo + 1e-12, hi - 1e-12, 201)
     tail_prime = -2.0 * np.sum(1.0 / (grid[:, None] - far), axis=1)

