@@ -2,10 +2,15 @@
 label, persisted as CSV (17 significant digits, lossless round-trip) or as
 a raw binary with magic ``WLAB1``, little-endian u64 N, u64 samples, then
 the float64 payload (bit-exact round-trip).
+
+Either format loads into one array: a binary payload is read straight into
+it, and a CSV body is parsed by one ``np.loadtxt`` call, with a row loop
+left only for the inputs that call rejects or the header contradicts.
 """
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,17 +87,43 @@ def load_archive(path):
                 raise ArchiveFormatError("binary payload size does not match header")
         return Archive(N=int(n), label=os.path.splitext(os.path.basename(path))[0], data=data)
 
+    # the row loop accepts a few inputs that loadtxt rejects (`1_0`,
+    # whitespace-only lines) and words every error message
+    n, label, data = _loadtxt_csv(path) or _read_csv_rows(path)
+    return Archive(N=n, label=label, data=data)
+
+
+def _loadtxt_csv(path):
+    """(N, label, data) of a CSV archive parsed by one ``np.loadtxt`` call
+    after the header, or None when that fails or disagrees with the header."""
     try:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            parts = header.split(",", 2)
-            if len(parts) != 3:
-                raise ArchiveFormatError(f"malformed header line: {header!r}")
-            try:
-                n, samples = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ArchiveFormatError(f"malformed header line: {header!r}") from exc
-            label = parts[2]
+            n, samples, label = _read_csv_header(fh)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty body warns: the row loop reports it instead
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError
+        return None
+    return (n, label, data) if data.shape == (samples, n) else None
+
+
+def _read_csv_header(fh):
+    """(N, samples, label) from the first line of a CSV archive."""
+    header = fh.readline().rstrip("\n")
+    parts = header.split(",", 2)
+    if len(parts) != 3:
+        raise ArchiveFormatError(f"malformed header line: {header!r}")
+    try:
+        return int(parts[0]), int(parts[1]), parts[2]
+    except ValueError as exc:
+        raise ArchiveFormatError(f"malformed header line: {header!r}") from exc
+
+
+def _read_csv_rows(path):
+    """(N, label, data) of a CSV archive parsed one line at a time."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            n, samples, label = _read_csv_header(fh)
             rows = []
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
@@ -109,4 +140,4 @@ def load_archive(path):
         raise ArchiveFormatError(f"archive is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     if len(rows) != samples:
         raise ArchiveFormatError(f"header promised {samples} samples, file has {len(rows)}")
-    return Archive(N=n, label=label, data=np.array(rows))
+    return n, label, np.array(rows)

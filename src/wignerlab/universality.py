@@ -4,7 +4,8 @@ curves, and the 3/4 energy constant of the log-gas.
 
 Archive-based estimators consume (samples, N) arrays of ascending spectra
 and reduce per-sample statistics to ensemble averages; within a sample,
-each statistic is one array reduction.
+each statistic is one array reduction, and the two-point estimator's runs
+only over the eigenvalue pairs on which its observable's g can be nonzero.
 The energy constant is checked by quadrature: one fixed rule carries the
 second moment and the Chebyshev moments whose sum is the log energy.
 """
@@ -110,15 +111,19 @@ def two_point_estimator(archive, E0, delta, obs):
     (N/(N-1)) sum_{j != k} (2 delta)^-1 int_(E0-delta)^(E0+delta)
         g((l_j - l_k) N rho) h(((l_j + l_k)/2 - E) N rho) dE
     with rho = rho_sc(E0) (the O(delta) center simplification) and the
-    energy average done by a 33-node Gauss rule: per sample, h is evaluated
-    at all nodes in one (nodes x m x m) array over the m eigenvalues near
-    the window and contracted with the rule's weights. The reference
-    field carries the sine-kernel prediction int g (1 - sinc^2).
+    energy average done by a 33-node Gauss rule: per sample, the pairs
+    j != k among the eigenvalues near the window with |l_j - l_k| N rho
+    <= R, the support radius of g, are the only ones g sees; g is evaluated
+    once per pair and h at all nodes in one (nodes x pairs) array,
+    contracted with the rule's weights. The reference field carries the
+    sine-kernel prediction int g (1 - sinc^2). Spectra need N >= 2.
     """
     data = _as_data(archive)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("archive must hold at least two samples")
     samples, N = data.shape
+    if N < 2:
+        raise ValueError("spectra must hold at least two eigenvalues")
     rho = semicircle_density(E0)
     if rho <= 0:
         raise ValueError("E0 lies outside the bulk")
@@ -137,11 +142,14 @@ def two_point_estimator(archive, E0, delta, obs):
     for i in range(samples):
         lam = data[i]
         sub = lam[np.searchsorted(lam, lo) : np.searchsorted(lam, hi, side="right")]
-        gv = np.asarray(obs.g((sub[:, None] - sub[None, :]) * (N * rho)))
-        np.fill_diagonal(gv, 0.0)
-        centers = (sub[:, None] + sub[None, :]) / 2.0
-        hv = np.asarray(obs.h((centers - e_nodes[:, None, None]) * (N * rho)))
-        vals[i] = float(np.sum(gv * hv, axis=(1, 2)) @ e_weights) * N / (N - 1)
+        u = (sub[:, None] - sub[None, :]) * (N * rho)
+        near = np.abs(u) <= R  # g vanishes only outside [-R, R]
+        np.fill_diagonal(near, False)
+        j, k = np.nonzero(near)
+        gv = np.asarray(obs.g(u[j, k]))
+        centers = (sub[j] + sub[k]) / 2.0
+        hv = np.asarray(obs.h((centers - e_nodes[:, None]) * (N * rho)))
+        vals[i] = float(np.sum(gv * hv, axis=1) @ e_weights) * N / (N - 1)
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return CorrelationEstimate(

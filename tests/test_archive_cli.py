@@ -39,6 +39,18 @@ MALFORMED = [
     ("norows.csv", b"3,0,x\n"),
 ]
 
+# (file name, bytes, loaded data or error message) of CSV inputs that the
+# loadtxt parse and the row loop must treat alike
+CSV_PARITY = [
+    ("comment.csv", b"2,1,x\n# note\n0,1\n", "line 2: non-numeric value"),
+    ("blank.csv", b"2,2,x\n0,1\n   \n2,3\n", np.array([[0.0, 1.0], [2.0, 3.0]])),
+    ("crlf.csv", b"2,2,x\r\n0,1\r\n2,3\r\n", np.array([[0.0, 1.0], [2.0, 3.0]])),
+    ("underscore.csv", b"2,1,x\n1_0,2_0\n", np.array([[10.0, 20.0]])),
+    ("trailing.csv", b"2,1,x\n0,1,\n", "line 2: non-numeric value"),
+    ("single.csv", b"1,3,x\n0.1\n0.2\n-0.05\n", np.array([[0.1], [0.2], [-0.05]])),
+    ("promise.csv", b"2,3,x\n0,1\n2,3\n", "header promised 3 samples, file has 2"),
+]
+
 # arbitrary bytes, CSV-like text, and .bin headers with small or arbitrary dimensions
 dimension = st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1))
 fuzz_bytes = st.one_of(
@@ -103,6 +115,35 @@ class TestArchiveIO:
             tracemalloc.stop()
         assert back.data.tobytes() == data.tobytes()
         assert peak <= 1.25 * data.nbytes
+
+    def test_csv_load_holds_one_copy(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = np.sort(rng.standard_normal((2000, 200)), axis=1)
+        path = tmp_path / "a.csv"
+        save_archive(Archive(N=200, label="a", data=data), str(path))
+        tracemalloc.start()
+        try:
+            back = load_archive(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.data.tobytes() == data.tobytes()
+        assert peak <= 1.25 * data.nbytes
+
+    @pytest.mark.parametrize("name, content, expected", CSV_PARITY, ids=[case[0] for case in CSV_PARITY])
+    def test_csv_parity(self, tmp_path, monkeypatch, capsys, name, content, expected):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_bytes(content)
+        if isinstance(expected, str):
+            with pytest.raises(ArchiveFormatError) as err:
+                load_archive(name)
+            assert str(err.value) == expected
+            assert main(["sine", "--archive", name, "-o", "sine.json"]) == 1
+            assert capsys.readouterr().err == f"error: {expected}\n"
+        else:
+            arc = load_archive(name)
+            assert (arc.N, arc.label) == (expected.shape[1], "x")
+            assert arc.data.tobytes() == expected.tobytes()
 
     def test_header_row_length_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -218,6 +259,13 @@ class TestCli:
         assert main(["sine", "--archive", str(arc), "-o", str(tmp_path / "sine.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sine_on_single_eigenvalue_archive_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_bytes(b"1,3,x\n0.1\n0.2\n-0.05\n")
+        assert main(["sine", "--archive", "a.csv", "-o", "sine.json"]) == 1
+        assert capsys.readouterr().err == "error: spectra must hold at least two eigenvalues\n"
+        assert not (tmp_path / "sine.json").exists()
 
     @settings(max_examples=150, deadline=None)
     @given(content=fuzz_bytes, suffix=st.sampled_from([".csv", ".bin"]))

@@ -17,6 +17,33 @@ from wignerlab.archive import Archive
 from tests_support import hermite_bulk_scan_dev
 
 
+def gue_rows(N, samples, seed):
+    return np.array([sp.eigenvalues(en.sample_gue(N, en.sample_stream(seed, i))) for i in range(samples)])
+
+
+def direct_pair_values(data, E0, delta, obs):
+    """Per-sample two-point statistic as the defining double sum over all
+    pairs j != k and all 33 energy nodes, with no window trimming."""
+    N = data.shape[1]
+    scale = N * sp.semicircle_density(E0)
+    xs, ws = np.polynomial.legendre.leggauss(33)
+    vals = []
+    for lam in data:
+        total = 0.0
+        for j in range(N):
+            for k in range(N):
+                if j == k:
+                    continue
+                gv = float(obs.g((lam[j] - lam[k]) * scale))
+                if gv == 0.0:  # the pair is farther apart than the support of g
+                    continue
+                for x, w in zip(xs, ws):
+                    e = E0 + delta * x
+                    total += w / 2.0 * gv * float(obs.h(((lam[j] + lam[k]) / 2.0 - e) * scale))
+        vals.append(total * N / (N - 1))
+    return vals
+
+
 class TestSineKernel:
     def test_removable_singularity(self):
         assert un.sine_kernel(0.0) == 1.0
@@ -84,28 +111,11 @@ class TestTwoPointEstimator:
         assert a.value == b.value
 
     def test_direct_pair_and_node_loop(self):
-        # the defining double sum over all pairs j != k of each sample and
-        # all 33 energy nodes, with no window trimming
         N, E0, delta = 60, 0.1, 0.2
-        data = np.array([sp.eigenvalues(en.sample_gue(N, en.sample_stream(5, i))) for i in range(5)])
+        data = gue_rows(N, 5, 5)
         obs = un.bump_observable(3.0)
         est = un.two_point_estimator(Archive(N=N, label="s", data=data), E0, delta, obs)
-        scale = N * sp.semicircle_density(E0)
-        xs, ws = np.polynomial.legendre.leggauss(33)
-        vals = []
-        for lam in data:
-            total = 0.0
-            for j in range(N):
-                for k in range(N):
-                    if j == k:
-                        continue
-                    gv = float(obs.g((lam[j] - lam[k]) * scale))
-                    if gv == 0.0:  # the pair is farther apart than the support of g
-                        continue
-                    for x, w in zip(xs, ws):
-                        e = E0 + delta * x
-                        total += w / 2.0 * gv * float(obs.h(((lam[j] + lam[k]) / 2.0 - e) * scale))
-            vals.append(total * N / (N - 1))
+        vals = direct_pair_values(data, E0, delta, obs)
         assert est.value == pytest.approx(np.mean(vals), rel=1e-12)
         assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(5), rel=1e-12)
 
@@ -118,6 +128,60 @@ class TestTwoPointEstimator:
         obs = un.bump_observable(3.0)
         with pytest.raises(ValueError):
             un.two_point_estimator(np.empty((0, 10)), 0.0, 0.2, obs)
+
+    def test_single_eigenvalue_spectra_rejected(self):
+        with pytest.raises(ValueError, match="at least two eigenvalues"):
+            un.two_point_estimator(np.array([[0.1], [0.2]]), 0.0, 0.2, un.bump_observable(3.0))
+
+
+class TestPairSupport:
+    """The estimator evaluates h only on the pairs g does not vanish on,
+    and that changes nothing the defining double sum gives."""
+
+    def test_h_sees_only_pairs_in_support(self):
+        N, R = 200, 3.0
+        data = gue_rows(N, 3, 11)
+        bump = un.bump_observable(R)
+        seen = []
+
+        def counting_h(u):
+            seen.append(np.size(u))
+            return bump.h(u)
+
+        obs = un.Observable(g=bump.g, h=counting_h, support_radius=R)
+        un.two_point_estimator(Archive(N=N, label="s", data=data), 0.0, 1.0, obs)
+        u = (data[:, :, None] - data[:, None, :]) * (N * sp.semicircle_density(0.0))
+        pairs = int(np.sum(np.abs(u) <= R)) - data.size  # off the diagonal
+        assert sum(seen) <= 33 * pairs
+
+    def assert_matches_direct_sum(self, data, E0, delta, obs):
+        est = un.two_point_estimator(data, E0, delta, obs)
+        vals = direct_pair_values(data, E0, delta, obs)
+        assert est.value == pytest.approx(np.mean(vals), rel=1e-12)
+        assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(len(data)), rel=1e-12)
+        return vals
+
+    def test_pair_at_support_radius_counts(self):
+        # g is a box, nonzero at +-R, and one pair sits exactly at |u| = R
+        N, E0, delta = 60, 0.1, 0.2
+        data = gue_rows(N, 3, 5)
+        k = int(np.searchsorted(data[0], E0))
+        R = float((data[0, k] - data[0, k - 1]) * (N * sp.semicircle_density(E0)))
+        obs = un.Observable(g=lambda u: (np.abs(u) <= R).astype(float), h=un.bump_observable(R).h,
+                            support_radius=R)
+        vals = self.assert_matches_direct_sum(data, E0, delta, obs)
+        assert vals[0] > 0.0
+
+    def test_windows_with_zero_and_one_eigenvalue(self):
+        N, E0, delta = 60, 0.1, 0.2
+        gap = np.concatenate([np.linspace(-1.9, -0.6, 30), np.linspace(0.8, 1.9, 30)])
+        lone = np.concatenate([np.linspace(-1.9, -0.6, 30), [E0], np.linspace(0.8, 1.9, 29)])
+        data = np.vstack([gue_rows(N, 1, 5), gap, lone])
+        vals = self.assert_matches_direct_sum(data, E0, delta, un.bump_observable(3.0))
+        assert vals[1] == vals[2] == 0.0
+
+    def test_off_center_energy(self):
+        self.assert_matches_direct_sum(gue_rows(60, 3, 6), -0.6, 0.3, un.bump_observable(3.0))
 
 
 class TestKernelLimitScan:
