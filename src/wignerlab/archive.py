@@ -61,8 +61,7 @@ def save_archive(archive, path):
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{archive.N},{archive.samples},{archive.label}\n")
-        for row in archive.data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, archive.data, fmt="%.17g", delimiter=",")
 
 
 def load_archive(path):

@@ -7,9 +7,13 @@ Matrix entries follow the 1/sqrt(N) normalization: off-diagonal real and
 imaginary parts have variance 1/2 and diagonals variance 1 before scaling,
 so E Tr H^2 = N. All sampling is driven by explicit numpy Generators;
 ``sample_stream`` builds counter-based splittable per-index streams, so
-sample i of a seeded sweep does not depend on the other samples.
+sample i of a seeded sweep does not depend on the other samples. A DBM
+path reads its stream as N standard normals per Euler proposal, in order,
+so a path from ``sample_stream(seed, index)`` depends only on (seed, index);
+each step works in buffers the path reuses.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +29,15 @@ _RADEMACHER_SMOOTH = 0.5  # Gaussian smoothing width before renormalization
 def _diag_indices(n):
     """Positions of the diagonal entries in a packed n x n upper triangle."""
     return np.cumsum(np.concatenate(([0], np.arange(n, 1, -1))))
+
+
+@functools.lru_cache(maxsize=1)
+def _triu_indices(n):
+    """``np.triu_indices(n)``, read-only, since the cache shares it."""
+    iu = np.triu_indices(n)
+    for arr in iu:
+        arr.setflags(write=False)
+    return iu
 
 
 def sample_stream(seed, index=0):
@@ -51,19 +64,21 @@ class HermitianMatrix:
 
     @classmethod
     def from_dense(cls, dense):
+        """Pack the upper triangle of ``dense``, keeping the diagonal's real part."""
         dense = np.asarray(dense, dtype=complex)
         n = dense.shape[0]
-        iu = np.triu_indices(n)
-        packed = dense[iu].copy()
+        packed = dense[_triu_indices(n)]
+        diag = _diag_indices(n)
+        packed[diag] = packed[diag].real
         return cls(n, packed)
 
     def to_dense(self):
-        n = self.dim
-        out = np.zeros((n, n), dtype=complex)
-        iu = np.triu_indices(n)
+        """The dense matrix, conjugates below the diagonal. The upper
+        triangle is written last, so the diagonal is the packed one."""
+        iu = _triu_indices(self.dim)
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        out.T[iu] = self.packed.conj()
         out[iu] = self.packed
-        out = out + out.conj().T
-        out[np.diag_indices(n)] /= 2.0
         return out
 
 
@@ -153,32 +168,88 @@ def ou_evolve(h0, t, stream):
 @dataclass(frozen=True)
 class DbmPath:
     """Euler-Maruyama trajectory of the eigenvalue SDE; every snapshot is a
-    strictly ordered spectrum."""
+    strictly ordered spectrum. ``proposals`` counts the Euler proposals made,
+    one per step plus two per halving; ``max_depth`` is the deepest halving
+    level reached (0 when no proposal crossed)."""
 
     step_size: float
     steps: int
     trajectory: np.ndarray  # (steps + 1, N)
+    proposals: int
+    max_depth: int
 
     @property
     def final(self):
         return self.trajectory[-1]
 
 
-def _dbm_drift(lam, N):
-    diffs = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diffs, np.inf)
-    return -lam / 2.0 + np.sum(1.0 / diffs, axis=1) / N
+_NORMAL_BLOCK = 2**14  # normals drawn per refill: 128 KB
 
 
-def _dbm_step(lam, dt, N, rng, depth):
+class _DbmWork:
+    """Reused buffers of one DBM path and the reader of its normals.
+
+    The stream is read N normals per proposal, in order, from a block. A
+    refill draws at most N per unfinished step (``left``, the current one
+    included), and every such step reads at least N, so the path draws
+    exactly the values, and leaves the stream in the state, that one
+    ``standard_normal(N)`` call per proposal would.
+    """
+
+    def __init__(self, N, steps, stream):
+        self.N = N
+        self.diffs = np.empty((N, N))
+        self.diag = self.diffs.reshape(-1)[:: N + 1]
+        self.sums = np.empty(N)
+        self.mean = np.empty(N)  # lam + drift dt
+        self.stream = stream
+        self.block = np.empty(max(N, min(_NORMAL_BLOCK, steps * N)))
+        self.end = self.pos = 0
+        self.left = steps
+        self.proposals = 0
+        self.max_depth = 0
+
+    def normals(self):
+        """The next N normals of the stream (a view into the block)."""
+        N = self.N
+        if self.end - self.pos < N:
+            rest = self.end - self.pos
+            self.block[:rest] = self.block[self.pos : self.end]
+            self.end = max(N, min(len(self.block), self.left * N))
+            self.stream.standard_normal(out=self.block[rest : self.end])
+            self.pos = 0
+        self.pos += N
+        return self.block[self.pos - N : self.pos]
+
+    def propose(self, lam, dt):
+        """lam + drift(lam) dt + sqrt(dt/N) z as a new array, in the order
+        of lam + (-lam/2 + sum_j 1/(lam - lam_j) / N) dt + sqrt(dt/N) z."""
+        d, s, p = self.diffs, self.sums, self.mean
+        np.subtract.outer(lam, lam, out=d)
+        self.diag.fill(np.inf)
+        np.divide(1.0, d, out=d)
+        np.add.reduce(d, axis=1, out=s)
+        s /= self.N
+        np.divide(lam, -2.0, out=p)
+        p += s
+        p *= dt
+        p += lam
+        prop = self.normals() * math.sqrt(dt / self.N)
+        prop += p
+        return prop
+
+
+def _dbm_step(lam, dt, work, depth):
     """One ordered Euler step, recursively halving dt on ordering violations."""
-    prop = lam + _dbm_drift(lam, N) * dt + math.sqrt(dt / N) * rng.standard_normal(len(lam))
-    if len(prop) == 1 or np.all(np.diff(prop) > 0):
+    work.proposals += 1
+    work.max_depth = max(work.max_depth, depth)
+    prop = work.propose(lam, dt)
+    if (prop[1:] > prop[:-1]).all():
         return prop
     if depth >= 40:
         raise RuntimeError("DBM substep controller failed to maintain ordering")
-    half = _dbm_step(lam, dt / 2.0, N, rng, depth + 1)
-    return _dbm_step(half, dt / 2.0, N, rng, depth + 1)
+    half = _dbm_step(lam, dt / 2.0, work, depth + 1)
+    return _dbm_step(half, dt / 2.0, work, depth + 1)
 
 
 def dbm_integrate(spectrum0, dt, steps, stream):
@@ -186,18 +257,23 @@ def dbm_integrate(spectrum0, dt, steps, stream):
     [-lambda_i/2 + N^-1 sum_{j!=i} (lambda_i - lambda_j)^-1] dt.
 
     Ordering is preserved by adaptive substepping: a step that crosses is
-    retried as two half steps, recursively up to 40 halvings deep.
+    retried as two half steps, recursively up to 40 halvings deep. Every
+    proposal reads the next N standard normals of ``stream``.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError("steps must be a nonnegative integer")
     lam = require_spectrum(spectrum0).copy()
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    N = len(lam)
-    traj = np.empty((steps + 1, N))
+    work = _DbmWork(len(lam), steps, stream)
+    traj = np.empty((steps + 1, len(lam)))
     traj[0] = lam
     for k in range(steps):
-        lam = _dbm_step(lam, dt, N, stream, 0)
+        work.left = steps - k
+        lam = _dbm_step(lam, dt, work, 0)
         traj[k + 1] = lam
-    return DbmPath(step_size=dt, steps=steps, trajectory=traj)
+    return DbmPath(step_size=dt, steps=steps, trajectory=traj,
+                   proposals=work.proposals, max_depth=work.max_depth)
 
 
 def log_vandermonde(values, eta=0.0):

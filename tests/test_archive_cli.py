@@ -130,6 +130,15 @@ class TestArchiveIO:
         assert back.data.tobytes() == data.tobytes()
         assert peak <= 1.25 * data.nbytes
 
+    def test_csv_text_is_the_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(4)
+        wide = rng.choice([-1.0, 1.0], (200, 2000)) * 10.0 ** rng.uniform(-300, 300, (200, 2000))
+        for data in (np.sort(wide, axis=1), np.array([[0.25]]), np.sort(rng.standard_normal((5, 7)), axis=1)):
+            path = tmp_path / "a.csv"
+            save_archive(Archive(N=data.shape[1], label="x", data=data), str(path))
+            rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in data)
+            assert path.read_text() == f"{data.shape[1]},{data.shape[0]},x\n" + rows
+
     @pytest.mark.parametrize("name, content, expected", CSV_PARITY, ids=[case[0] for case in CSV_PARITY])
     def test_csv_parity(self, tmp_path, monkeypatch, capsys, name, content, expected):
         monkeypatch.chdir(tmp_path)

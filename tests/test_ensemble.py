@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wignerlab import ensemble as en
 from wignerlab import spectral as sp
 
-from tests_support import transition_kernel_logdensity
+from tests_support import dbm_reference, transition_kernel_logdensity
 
 
 def ks_distance(a, b):
@@ -87,6 +87,24 @@ class TestSampling:
         dense = h.to_dense()
         assert np.allclose(dense, dense.conj().T)
         assert np.allclose(en.HermitianMatrix.from_dense(dense).packed, h.packed)
+
+    def test_from_dense_keeps_upper_triangle_and_real_diagonal(self):
+        h = en.HermitianMatrix.from_dense(np.array([[1 + 1j, 2 + 3j], [5.0, 4 - 2j]]))
+        dense = h.to_dense()
+        assert np.array_equal(dense, np.array([[1, 2 + 3j], [2 - 3j, 4]]))
+        assert not np.signbit(dense.diagonal().imag).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    def test_to_dense_matches_sum_formula(self, n):
+        h = en.sample_gue(n, en.sample_stream(12, n))
+        ref = np.zeros((n, n), dtype=complex)
+        ref[np.triu_indices(n)] = h.packed
+        ref = ref + ref.conj().T
+        ref[np.diag_indices(n)] /= 2.0
+        dense = h.to_dense()
+        assert np.array_equal(dense.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(dense, dense.conj().T)
+        assert not np.signbit(dense.diagonal().imag).any()
 
 
 class TestOUFlow:
@@ -176,6 +194,43 @@ class TestDbm:
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError):
             en.dbm_integrate(np.array([0.5, 0.5]), 1e-3, 1, en.sample_stream(1, 0))
+
+    @pytest.mark.parametrize("dt, steps, message", [
+        (float("nan"), 5, "dt must"), (float("inf"), 5, "dt must"), (0.0, 5, "dt must"), (-1e-3, 5, "dt must"),
+        (1e-3, -1, "steps must"), (1e-3, 2.0, "steps must"), (1e-3, "5", "steps must"),
+    ])
+    def test_bad_dt_or_steps_rejected(self, dt, steps, message):
+        with pytest.raises(ValueError, match=message):
+            en.dbm_integrate(np.linspace(-1, 1, 5), dt, steps, en.sample_stream(1, 0))
+
+    @pytest.mark.parametrize("lam0, dt, steps, seed", [
+        (np.linspace(-1.0, 1.0, 50), 1e-4, 300, 901),  # criterion 10's start
+        (np.linspace(-1.5, 1.5, 20), 1e-2, 300, 102),  # 334 proposals: rejections
+        (np.array([0.0, 1e-3, 2e-3, 1.0]), 1e-3, 200, 5),
+        (np.array([0.0]), 0.02, 50, 903),
+        (np.linspace(-2.0, 2.0, 200), 1e-4, 100, 7),
+    ], ids=["criterion10", "coarse", "close", "scalar", "N200"])
+    def test_matches_reference_loop(self, lam0, dt, steps, seed):
+        a, b = en.sample_stream(seed, 0), en.sample_stream(seed, 0)
+        path = en.dbm_integrate(lam0, dt, steps, a)
+        assert np.array_equal(path.trajectory, dbm_reference(lam0, dt, steps, b))
+        assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+    def test_proposals_and_depth_reported(self, monkeypatch):
+        calls = []
+        step = en._dbm_step
+
+        def counted(*args):
+            calls.append(args[-1])
+            return step(*args)
+
+        monkeypatch.setattr(en, "_dbm_step", counted)
+        plain = en.dbm_integrate(np.linspace(-1.0, 1.0, 50), 1e-4, 300, en.sample_stream(901, 0))
+        assert plain.proposals == len(calls) == 300 and plain.max_depth == 0
+        calls.clear()
+        coarse = en.dbm_integrate(np.linspace(-1.5, 1.5, 20), 1e-2, 300, en.sample_stream(102, 0))
+        assert coarse.proposals == len(calls) > 300
+        assert coarse.max_depth == max(calls) >= 1
 
     def test_matches_matrix_flow_in_law(self):
         # pilot version of the dynamics consistency experiment

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from wignerlab.ensemble import log_vandermonde
+from wignerlab.spectral import require_spectrum
 from wignerlab.universality import sine_kernel
 
 
@@ -96,3 +97,32 @@ def transition_kernel_logdensity(lam, nu, s):
         raise FloatingPointError("transition determinant lost positivity")
     return float(log_pref + log_ratio + float(row.sum() + col.sum()) + logdet)
 
+
+def _dbm_drift(lam, N):
+    diffs = lam[:, None] - lam[None, :]
+    np.fill_diagonal(diffs, np.inf)
+    return -lam / 2.0 + np.sum(1.0 / diffs, axis=1) / N
+
+
+def _dbm_step(lam, dt, N, rng, depth):
+    prop = lam + _dbm_drift(lam, N) * dt + math.sqrt(dt / N) * rng.standard_normal(len(lam))
+    if len(prop) == 1 or np.all(np.diff(prop) > 0):
+        return prop
+    if depth >= 40:
+        raise RuntimeError("DBM substep controller failed to maintain ordering")
+    half = _dbm_step(lam, dt / 2.0, N, rng, depth + 1)
+    return _dbm_step(half, dt / 2.0, N, rng, depth + 1)
+
+
+def dbm_reference(spectrum0, dt, steps, stream):
+    """Trajectory of ``ensemble.dbm_integrate`` as one allocating Euler step
+    and one ``standard_normal(N)`` call per proposal: the loop the buffered
+    integrator must reproduce bit for bit, stream state included."""
+    lam = require_spectrum(spectrum0).copy()
+    N = len(lam)
+    traj = np.empty((steps + 1, N))
+    traj[0] = lam
+    for k in range(steps):
+        lam = _dbm_step(lam, dt, N, stream, 0)
+        traj[k + 1] = lam
+    return traj
