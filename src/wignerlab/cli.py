@@ -484,6 +484,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:  # ArchiveFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy names the refused allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except (FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

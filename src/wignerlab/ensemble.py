@@ -277,13 +277,25 @@ def dbm_integrate(spectrum0, dt, steps, stream):
 
 
 def log_vandermonde(values, eta=0.0):
-    """sum_{j<k} log |v_j - v_k + i*eta|; errors on coincidence when eta=0."""
+    """sum_{j<k} log |v_j - v_k + i*eta|; errors on coincidence when eta=0.
+
+    The gaps v_j - v_k are written row by row into one array, in
+    ``np.triu_indices(n, 1)`` order, and transformed in place, so the sum
+    holds one float per pair and adds them in the same order.
+    """
     values = np.asarray(values, dtype=float)
     n = len(values)
-    iu = np.triu_indices(n, k=1)
-    gaps = values[iu[0]] - values[iu[1]]
+    gaps = np.empty(n * (n - 1) // 2)
+    start = 0
+    for j in range(n - 1):
+        stop = start + n - 1 - j
+        np.subtract(values[j], values[j + 1:], out=gaps[start:stop])
+        start = stop
     if eta == 0.0:
-        if np.any(np.abs(gaps) < 1e-14):
+        np.abs(gaps, out=gaps)
+        if np.any(gaps < 1e-14):
             raise ValueError("coincident values with eta = 0")
-        return float(np.sum(np.log(np.abs(gaps))))
-    return float(0.5 * np.sum(np.log(gaps**2 + eta**2)))
+        return float(np.sum(np.log(gaps, out=gaps)))
+    np.square(gaps, out=gaps)
+    gaps += eta**2
+    return float(0.5 * np.sum(np.log(gaps, out=gaps)))

@@ -7,15 +7,17 @@ The weight is a polynomial, so every inner product is computed with an
 exact-degree Gauss-Legendre rule; orthonormality residuals are then
 rounding-limited. ``gauss_legendre`` builds every Gauss-Legendre rule of the
 package, by Newton's method on the Legendre three-term recurrence (O(m^2)
-flops, O(m) memory, no eigensolve); its nodes and weights are accurate to
-rounding, up to the float representation of the nodes nearest +-1. A
-``Recurrence`` carries its weight and rule, so the diagnostics take the
-recurrence alone. Weight values always enter through exp(log-sum) with the
-WeightSpec's additive normalizer, which cancels in all orthonormal
-quantities; the recurrence keeps the normalized log-weight on its rule's
-nodes, so the diagnostics that integrate on that rule do not sum over the
-roots again. Polynomial recurrences run directly on the weighted functions
-psi_j = p_j sqrt(w), which stay O(1) where p_j alone would overflow.
+flops, O(m) memory, no eigensolve), where a node whose Newton step no longer
+moves it is a fixed point and is not evaluated again; its nodes and weights
+are accurate to rounding, up to the float representation of the nodes
+nearest +-1. A ``Recurrence`` carries its weight and rule, so the
+diagnostics take the recurrence alone. Weight values always enter through
+exp(log-sum) with the WeightSpec's additive normalizer, which cancels in all
+orthonormal quantities; the recurrence keeps the normalized log-weight on
+its rule's nodes, so the diagnostics that integrate on that rule do not sum
+over the roots again. Polynomial recurrences run directly on the weighted
+functions psi_j = p_j sqrt(w), which stay O(1) where p_j alone would
+overflow.
 """
 
 import math
@@ -39,7 +41,7 @@ __all__ = [
 
 NEAR_DIAGONAL = 1e-6  # |x - y| below this switches the kernel to the direct sum
 NEWTON_TOL = 4 * np.finfo(float).eps  # last Newton step of the Gauss-Legendre nodes, a few ulp of 1
-NEWTON_MAX_ITER = 12  # recurrence evaluations; from Tricomi's guesses at most 5 were needed up to 8000 nodes
+NEWTON_MAX_ITER = 12  # evaluation rounds; fixed-point nodes are not evaluated again; at most 5 rounds up to 8000 nodes
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,20 @@ class Quadrature:
 
 
 def _legendre_and_derivative(m, x):
-    """P_m(x) and P_m'(x) by the three-term recurrence, for |x| < 1."""
-    p_prev, p = np.ones_like(x), x.copy()
+    """P_m(x) and P_m'(x) by the three-term recurrence, for |x| < 1.
+
+    Each step writes ((2j + 1) x P_j - j P_(j-1)) / (j + 1) into the buffer
+    that held P_(j-1), through one scratch buffer, so the recurrence
+    allocates nothing per degree.
+    """
+    p_prev, p, scratch = np.ones_like(x), x.copy(), np.empty_like(x)
     for j in range(1, m):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        np.multiply(2 * j + 1, x, out=scratch)
+        scratch *= p
+        p_prev *= j
+        np.subtract(scratch, p_prev, out=p_prev)
+        p_prev /= j + 1
+        p_prev, p = p, p_prev
     return p, m * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
 
 
@@ -68,21 +80,30 @@ def gauss_legendre(count, half_width=1.0):
     Newton's method on the Legendre recurrence from Tricomi's initial
     guesses, for the nonnegative nodes only (node 0 exactly when ``count``
     is odd); the negative half is their mirror image, so the rule is exactly
-    symmetric. Weights are 2/((1 - x)(1 + x) P_m'(x)^2) at the converged
-    nodes. O(count^2) flops and O(count) memory.
+    symmetric. A node whose step x - P/P' rounds back to x is a fixed point:
+    it keeps its last P' and step and is not evaluated again, so each round
+    evaluates only the nodes the previous step moved, while the convergence
+    test still reads every node's last step. Weights are
+    2/((1 - x)(1 + x) P_m'(x)^2) at the converged nodes. O(count^2) flops and
+    O(count) memory.
     """
     m = count
     h = m // 2
     k = np.arange(1, h + 1)
     x = (1.0 - 1.0 / (8.0 * m**2) + 1.0 / (8.0 * m**3)) * np.cos(math.pi * (4 * k - 1) / (4 * m + 2))
     x = np.append(x, [0.0] * (m % 2))  # descending
+    dp = np.empty_like(x)
+    step = np.empty_like(x)
+    moving = np.arange(len(x))  # nodes whose last step changed them
     converged = False
     for _ in range(NEWTON_MAX_ITER):
-        p, dp = _legendre_and_derivative(m, x)
+        x_moving = x[moving]
+        p, dp[moving] = _legendre_and_derivative(m, x_moving)
         if converged:
             break
-        step = p / dp
-        x = x - step
+        step[moving] = p / dp[moving]
+        x[moving] = x_moving - step[moving]
+        moving = moving[x[moving] != x_moving]
         converged = np.max(np.abs(step), initial=0.0) <= NEWTON_TOL
     else:
         raise FloatingPointError(f"Gauss-Legendre nodes did not converge for {m} nodes")

@@ -270,6 +270,8 @@ def vandermonde_statistic(spectrum, eta=None):
         eta = float(N) ** -0.75
     if not (math.isfinite(eta) and eta >= 0):
         raise ValueError("eta must be finite and nonnegative")
+    if not math.isfinite(eta * eta):
+        raise ValueError("eta squared overflows")
     return float((N / 2.0 * np.sum(lam**2) - 2.0 * log_vandermonde(lam, eta)) / N**2)
 
 

@@ -577,6 +577,7 @@ BAD_PARAMETERS = [
     (["repulsion", "--wegner-eps=0,1"], "eps must be finite and positive"),
     (["repulsion", "--K-grid=nan"], "K must be finite"),
     (["vandermonde", "--eta=nan"], "eta must be finite and nonnegative"),
+    (["vandermonde", "--eta=1e155"], "eta squared overflows"),
     (["sine", "--delta=nan"], "delta must be finite and positive"),
     (["semicircle", "--density-tol=nan"], "density_tol must be finite and nonnegative"),
     (["semicircle", "--count-tol=nan"], "count_tol must be finite and nonnegative"),
@@ -656,6 +657,17 @@ class TestOptions:
         archive = [] if argv[0] == "sample" else ["--archive", str(two_row_archive)]
         assert main([argv[0], *archive, *argv[1:]]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("size", [["--N", "10000000", "--samples", "1"],
+                                      ["--N", "10", "--samples", "100000000000000"]])
+    def test_unallocatable_sample_fails_closed(self, tmp_path, monkeypatch, capsys, size):
+        # 364 TiB of packed entries and 7.11 PiB of archive: both exceed the
+        # 128 TiB user address space, so numpy refuses them without touching memory
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", *size, "-o", "a.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=60, deadline=None)

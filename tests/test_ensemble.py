@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from wignerlab import ensemble as en
 from wignerlab import spectral as sp
 
-from tests_support import dbm_reference, transition_kernel_logdensity
+from tests_support import dbm_reference, log_vandermonde_reference, transition_kernel_logdensity
 
 
 def ks_distance(a, b):
@@ -243,6 +244,32 @@ class TestDbm:
             dbm[i] = en.dbm_integrate(lam0, 1e-3, 500, en.sample_stream(102, i)).final
             ou[i] = sp.eigenvalues(en.ou_evolve(h0, t, en.sample_stream(103, i)))
         assert ks_distance(dbm.ravel(), ou.ravel()) < 0.05
+
+
+class TestLogVandermonde:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 400, 1000])
+    def test_matches_index_array_form(self, n):
+        values = np.sort(np.random.default_rng(n).standard_normal(n))
+        for eta in (0.0, 0.01, n**-0.75):
+            assert en.log_vandermonde(values, eta) == log_vandermonde_reference(values, eta)
+
+    def test_coincident_values_rejected_without_eta(self):
+        with pytest.raises(ValueError, match="coincident"):
+            en.log_vandermonde([0.0, 1.0, 1.0])
+        assert en.log_vandermonde([0.0, 1.0, 1.0], 0.01) == log_vandermonde_reference([0.0, 1.0, 1.0], 0.01)
+
+    @pytest.mark.parametrize("eta", [0.0, 1000**-0.75])
+    def test_holds_one_float_per_pair(self, eta):
+        # the index-array form peaked at 5.0x the gap array
+        n = 1000
+        values = np.sort(np.random.default_rng(5).standard_normal(n))
+        tracemalloc.start()
+        try:
+            en.log_vandermonde(values, eta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * (n - 1) // 2
 
 
 class TestTransitionKernel:

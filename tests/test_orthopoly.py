@@ -8,6 +8,8 @@ import pytest
 from wignerlab import localwindow as lw
 from wignerlab import orthopoly as op
 
+from tests_support import gauss_legendre_reference
+
 
 @pytest.fixture(scope="module")
 def legendre():
@@ -103,6 +105,27 @@ class TestQuadrature:
             weight = 2 / ((1 - x * x) * dp * dp)
             assert abs(quad.nodes[index] - float(x)) <= 2e-16
             assert abs(quad.weights[index] / weight - 1) <= bound
+
+    @pytest.mark.parametrize("counts, half_width", [(range(1, 201), 1.0), ([1066, 2000, 4132], 1.0), ([1066], 0.7)])
+    def test_gauss_legendre_matches_all_nodes_newton(self, counts, half_width):
+        # skipping fixed-point nodes changes no bit of the rule
+        for count in counts:
+            quad = op.gauss_legendre(count, half_width)
+            nodes, weights = gauss_legendre_reference(count, half_width)
+            assert np.array_equal(quad.nodes, nodes) and np.array_equal(quad.weights, weights), count
+
+    def test_gauss_legendre_evaluates_only_moving_nodes(self, monkeypatch):
+        # the all-nodes loop evaluates 4 rounds x 2066 nodes = 8264 at 4132 nodes
+        evaluated = []
+        recurrence = op._legendre_and_derivative
+
+        def counting(m, x):
+            evaluated.append(len(x))
+            return recurrence(m, x)
+
+        monkeypatch.setattr(op, "_legendre_and_derivative", counting)
+        op.gauss_legendre(4132)
+        assert evaluated[0] == 2066 and sum(evaluated) <= 2.5 * 2066
 
     def test_gauss_legendre_never_returns_an_unconverged_rule(self, monkeypatch):
         monkeypatch.setattr(op, "NEWTON_MAX_ITER", 2)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from wignerlab.ensemble import log_vandermonde
+from wignerlab.orthopoly import NEWTON_MAX_ITER, NEWTON_TOL
 from wignerlab.spectral import require_spectrum
 from wignerlab.universality import sine_kernel
 
@@ -126,3 +127,52 @@ def dbm_reference(spectrum0, dt, steps, stream):
         lam = _dbm_step(lam, dt, N, stream, 0)
         traj[k + 1] = lam
     return traj
+
+
+def gauss_legendre_reference(count, half_width=1.0):
+    """Nodes and weights of ``orthopoly.gauss_legendre`` by the all-nodes
+    Newton loop: every round evaluates the allocating Legendre recurrence at
+    every node, fixed points included. The rule that skips fixed points
+    must reproduce it bit for bit."""
+
+    def legendre_and_derivative(m, x):
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(1, m):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        return p, m * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+    m = count
+    h = m // 2
+    k = np.arange(1, h + 1)
+    x = (1.0 - 1.0 / (8.0 * m**2) + 1.0 / (8.0 * m**3)) * np.cos(math.pi * (4 * k - 1) / (4 * m + 2))
+    x = np.append(x, [0.0] * (m % 2))
+    converged = False
+    for _ in range(NEWTON_MAX_ITER):
+        p, dp = legendre_and_derivative(m, x)
+        if converged:
+            break
+        step = p / dp
+        x = x - step
+        converged = np.max(np.abs(step), initial=0.0) <= NEWTON_TOL
+    else:
+        raise FloatingPointError(f"Gauss-Legendre nodes did not converge for {m} nodes")
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+    def mirror(v, sign):
+        return np.concatenate((sign * v[:h], v[h:], v[:h][::-1]))
+
+    return half_width * mirror(x, -1.0), half_width * mirror(w, 1.0)
+
+
+def log_vandermonde_reference(values, eta=0.0):
+    """``ensemble.log_vandermonde`` by gathering both ends of every pair
+    through ``np.triu_indices``: the order and operations that the row-filled
+    gap array must reproduce bit for bit."""
+    values = np.asarray(values, dtype=float)
+    iu = np.triu_indices(len(values), k=1)
+    gaps = values[iu[0]] - values[iu[1]]
+    if eta == 0.0:
+        if np.any(np.abs(gaps) < 1e-14):
+            raise ValueError("coincident values with eta = 0")
+        return float(np.sum(np.log(np.abs(gaps))))
+    return float(0.5 * np.sum(np.log(gaps**2 + eta**2)))
