@@ -147,9 +147,7 @@ def cmd_semicircle(args, started):
 def cmd_rigidity(args, started):
     _require_tolerances(args, "location_tol")
     arc = load_archive(args.archive)
-    devs = [sp.rigidity_check(row, args.kappa) for row in arc.data]
-    loc = np.array([d[0] for d in devs])
-    pair = np.array([d[1] for d in devs])
+    loc, pair = sp.rigidity_check(arc.data, args.kappa)
     frac = float(np.mean(loc <= args.location_tol))
     records = [
         _stat_record("rigidity_location_pass_fraction", arc.N, arc.samples, frac, 0.9, frac >= 0.9),

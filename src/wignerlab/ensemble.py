@@ -283,6 +283,8 @@ def log_vandermonde(values, eta=0.0):
     ``np.triu_indices(n, 1)`` order, and transformed in place, so the sum
     holds one float per pair and adds them in the same order.
     """
+    if not math.isfinite(eta * eta):
+        raise ValueError("eta squared overflows")
     values = np.asarray(values, dtype=float)
     n = len(values)
     gaps = np.empty(n * (n - 1) // 2)

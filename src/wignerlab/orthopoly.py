@@ -21,6 +21,7 @@ overflow.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,10 @@ def gauss_legendre(count, half_width=1.0):
     evaluates only the nodes the previous step moved, while the convergence
     test still reads every node's last step. Weights are
     2/((1 - x)(1 + x) P_m'(x)^2) at the converged nodes. O(count^2) flops and
-    O(count) memory.
+    O(count) memory. ``count`` must be a positive integer.
     """
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"node count must be a positive integer, got {count!r}")
     m = count
     h = m // 2
     k = np.arange(1, h + 1)

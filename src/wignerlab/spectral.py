@@ -1,14 +1,13 @@
 """Empirical spectral diagnostics: Stieltjes transforms, counting functions,
 semicircle comparisons, rigidity, and good-configuration classification.
 
-All operations act on plain 1-D float arrays holding a strictly increasing
-spectrum; ``require_spectrum`` is the shared validator. The rigidity
-statistic reduces one array over the near bulk pairs. The
+Spectra are plain 1-D float arrays, strictly increasing; ``require_spectrum``
+is the shared validator. ``rigidity_check`` also takes a (samples, N) array
+and reduces blocks of rows one pair separation at a time. The
 good-configuration thresholds are the constants ``GOOD_*``; only the support
 bound K is an argument.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -267,43 +266,39 @@ def _bulk_indices(N, kappa):
     return lo, hi
 
 
-@functools.lru_cache(maxsize=1)
-def _rigidity_layout(N, kappa):
-    """The row-independent part of ``rigidity_check`` for one (N, kappa):
-    0-based bulk positions, their semicircle quantiles, the near bulk pairs
-    (a, b) as positions in the bulk, their separations k = b - a and the
-    gauges n^gamma k^(3/4) + k^2 / N. Read-only, since the cache shares them."""
-    a_lo, a_hi = _bulk_indices(N, kappa)
-    idx = np.arange(a_lo, a_hi + 1)  # 1-based indices
-    quant = semicircle_cdf_inverse(idx / N)
-    ngam = window_size(N) ** GOOD_GAMMA
-    pair_cap = int(N * window_size(N) ** (-GOOD_GAMMA / 6.0))
-    a, b = np.triu_indices(len(idx), 1)  # positions of the bulk pairs a < b
-    near = b - a <= pair_cap
-    a, b = a[near], b[near]
-    k = b - a
-    gauge = ngam * k**0.75 + k**2 / N
-    layout = (idx - 1, quant, a, b, k, gauge)
-    for arr in layout:
-        arr.setflags(write=False)
-    return layout
+# bulk values per row block of ``rigidity_check`` (512 KB per temporary)
+RIGIDITY_BLOCK = 2**16
 
 
-def rigidity_check(spectrum, kappa):
-    """Location and pair rigidity of bulk eigenvalues.
+def rigidity_check(spectra, kappa):
+    """Location and pair rigidity of the bulk of one spectrum or of each row
+    of a (samples, N) array.
 
-    Returns (max_location_dev, max_pair_dev): the worst distance of a bulk
-    eigenvalue from its semicircle quantile, and the worst normalized pair
-    deviation |N rho_sc(l_a)(l_b - l_a) - (b - a)| over the scaled gauge
-    n^gamma |b-a|^(3/4) + |b-a|^2 / N, taken over the bulk pairs with
-    0 < b - a <= N n^(-gamma/6) in one array (0 when there are none). The
-    layout of quantiles and pairs is computed once per (N, kappa).
+    Returns two float arrays over the rows, (max_location_dev, max_pair_dev):
+    the worst distance of a bulk eigenvalue from its semicircle quantile, and
+    the worst |N rho_sc(l_a)(l_b - l_a) - k| / (n^gamma k^(3/4) + k^2 / N)
+    over the bulk pairs with 0 < k = b - a <= N n^(-gamma/6) (0 when there
+    are none). Blocks of about ``RIGIDITY_BLOCK`` bulk values are reduced one
+    separation k at a time, so memory grows with neither N^2 nor the rows.
     """
-    spectrum = require_spectrum(spectrum)
-    N = len(spectrum)
-    pos, quant, a, b, k, gauge = _rigidity_layout(N, kappa)
-    lam = spectrum[pos]
-    max_loc = float(np.max(np.abs(lam - quant)))
-    dev = np.abs(N * semicircle_density(lam)[a] * (lam[b] - lam[a]) - k) / gauge
-    return max_loc, float(np.max(dev, initial=0.0))
-
+    spectra = np.atleast_2d(np.asarray(spectra, dtype=float))
+    for row in spectra:
+        require_spectrum(row)
+    samples, N = spectra.shape
+    a_lo, a_hi = _bulk_indices(N, kappa)
+    m = a_hi - a_lo + 1
+    quant = semicircle_cdf_inverse(np.arange(a_lo, a_hi + 1) / N)
+    n = window_size(N)
+    ks = np.arange(1, min(int(N * n ** (-GOOD_GAMMA / 6.0)), m - 1) + 1)
+    gauge = n**GOOD_GAMMA * ks**0.75 + ks**2 / N
+    max_loc, max_pair = np.empty(samples), np.zeros(samples)
+    step = max(1, RIGIDITY_BLOCK // m)
+    for r in range(0, samples, step):
+        lam = spectra[r : r + step, a_lo - 1 : a_hi]
+        max_loc[r : r + step] = np.max(np.abs(lam - quant), axis=1)
+        nrho = N * semicircle_density(lam)
+        worst = max_pair[r : r + step]
+        for k, g in zip(ks, gauge):
+            dev = np.abs(nrho[:, :-k] * (lam[:, k:] - lam[:, :-k]) - k) / g
+            np.maximum(worst, np.max(dev, axis=1), out=worst)
+    return max_loc, max_pair

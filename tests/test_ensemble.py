@@ -258,6 +258,10 @@ class TestLogVandermonde:
             en.log_vandermonde([0.0, 1.0, 1.0])
         assert en.log_vandermonde([0.0, 1.0, 1.0], 0.01) == log_vandermonde_reference([0.0, 1.0, 1.0], 0.01)
 
+    def test_eta_whose_square_overflows_rejected(self):
+        with pytest.raises(ValueError, match="eta squared overflows"):
+            en.log_vandermonde([0.0, 1.0], 1e155)
+
     @pytest.mark.parametrize("eta", [0.0, 1000**-0.75])
     def test_holds_one_float_per_pair(self, eta):
         # the index-array form peaked at 5.0x the gap array

@@ -127,6 +127,11 @@ class TestQuadrature:
         op.gauss_legendre(4132)
         assert evaluated[0] == 2066 and sum(evaluated) <= 2.5 * 2066
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    def test_gauss_legendre_rejects_a_bad_count(self, count):
+        with pytest.raises(ValueError, match="positive integer"):
+            op.gauss_legendre(count)
+
     def test_gauss_legendre_never_returns_an_unconverged_rule(self, monkeypatch):
         monkeypatch.setattr(op, "NEWTON_MAX_ITER", 2)
         with pytest.raises(FloatingPointError, match="did not converge"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,27 @@ def spectra(min_size=1, max_size=12):
         .map(np.array)
         .filter(lambda v: len(v) == 1 or np.min(np.diff(v)) > 1e-9)
     )
+
+
+def max_pair_by_double_loop(lam, kappa, cap=None):
+    """Brute force over the bulk pairs (a, b), 0 < b - a <= cap (by default
+    N n^(-gamma/6)), with the same float expression per pair as
+    ``rigidity_check``."""
+    N = len(lam)
+    lo = math.ceil(N * kappa**1.5)
+    hi = math.floor(N * (1 - kappa**1.5))
+    n = sp.window_size(N)
+    ngam = n**sp.GOOD_GAMMA
+    if cap is None:
+        cap = int(N * n ** (-sp.GOOD_GAMMA / 6.0))
+    rho = sp.semicircle_density(lam)
+    brute = 0.0
+    for a in range(lo, hi + 1):
+        for b in range(a + 1, min(hi, a + cap) + 1):
+            k = np.int64(b - a)
+            dev = abs(N * rho[a - 1] * (lam[b - 1] - lam[a - 1]) - k) / (ngam * k**0.75 + k**2 / N)
+            brute = max(brute, float(dev))
+    return brute
 
 
 class TestEigenvalues:
@@ -186,24 +208,50 @@ class TestRigidity:
             sp.rigidity_check(lam, 0.99)
 
     @pytest.mark.parametrize("N", [50, 400])
-    @pytest.mark.parametrize("kappa", [0.1, 0.3])
+    @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.02])
     def test_max_pair_matches_double_loop(self, N, kappa):
-        # brute force over the bulk pairs (a, b), 0 < b - a <= pair cap, with
-        # the same float expression per pair: the maximum must be equal
+        # at N = 400, kappa = 0.02 the cap (387) is below the largest separation (396)
         lam = sp.eigenvalues(en.sample_gue(N, en.sample_stream(17, N)))
-        lo = math.ceil(N * kappa**1.5)
-        hi = math.floor(N * (1 - kappa**1.5))
-        n = sp.window_size(N)
-        ngam = n**sp.GOOD_GAMMA
-        cap = int(N * n ** (-sp.GOOD_GAMMA / 6.0))
-        rho = sp.semicircle_density(lam)
-        brute = 0.0
-        for a in range(lo, hi + 1):
-            for b in range(a + 1, min(hi, a + cap) + 1):
-                k = np.int64(b - a)
-                dev = abs(N * rho[a - 1] * (lam[b - 1] - lam[a - 1]) - k) / (ngam * k**0.75 + k**2 / N)
-                brute = max(brute, float(dev))
-        assert sp.rigidity_check(lam, kappa)[1] == brute
+        assert sp.rigidity_check(lam, kappa)[1] == max_pair_by_double_loop(lam, kappa)
+
+    def test_pair_cap_leaves_out_far_pairs(self):
+        # only the first four values lie inside [-2, 2], and the rest grow
+        # geometrically, so the deviation grows with b - a and the pairs past
+        # the cap (194 < 198 at N = 200, kappa = 0.02) would raise the maximum
+        lam = np.concatenate([[1e-3, 2e-3, 3e-3, 4e-3], 2.5 * 1.05 ** np.arange(5, 200)])
+        capped = max_pair_by_double_loop(lam, 0.02)
+        assert sp.rigidity_check(lam, 0.02)[1] == capped < max_pair_by_double_loop(lam, 0.02, cap=198)
+
+    def test_row_blocks_match_single_rows(self):
+        # 800 rows at N = 200 span three row blocks; single-row calls from
+        # every block and at each block's edges must give the same floats
+        N, kappa = 200, 0.1
+        rng = np.random.default_rng(23)
+        quant = sp.semicircle_cdf_inverse(np.arange(1, N + 1) / N)
+        data = np.sort(quant + rng.normal(0.0, 0.2 / N, size=(800, N)), axis=1)
+        lo, hi = sp._bulk_indices(N, kappa)
+        step = sp.RIGIDITY_BLOCK // (hi - lo + 1)
+        assert 2 * step < len(data)
+        loc, pair = sp.rigidity_check(data, kappa)
+        assert loc.shape == pair.shape == (800,)
+        for r in np.r_[0 : len(data) : 7, step - 1, 2 * step - 1, len(data) - 1]:
+            row_loc, row_pair = sp.rigidity_check(data[r], kappa)
+            assert np.array_equal(row_loc, loc[r : r + 1]) and np.array_equal(row_pair, pair[r : r + 1]), r
+
+    def test_memory_bounded_by_row_block(self):
+        # each temporary of a row block holds at most 2**16 floats (0.5 MB);
+        # a layout of every near bulk pair would take about 94 MB
+        N = 2000
+        rng = np.random.default_rng(29)
+        quant = sp.semicircle_cdf_inverse(np.arange(1, N + 1) / N)
+        data = np.sort(quant + rng.normal(0.0, 0.2 / N, size=(20, N)), axis=1)
+        tracemalloc.start()
+        try:
+            sp.rigidity_check(data, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestSmoothedDensityMC:
